@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "ddt/datatype.hpp"
@@ -37,13 +39,15 @@ ddt::TypePtr elem_type(spin::ElemType e) {
   return ddt::Datatype::int32();
 }
 
-/// One offered message: (round r, source s, destination d). Payload and
-/// packets are built up front and stay at stable addresses for the
-/// simulation's lifetime (forwarding events hold pointers into them).
+/// One offered message: (round r, source s, destination d). Packets are
+/// built up front and stay at stable addresses for the simulation's
+/// lifetime (forwarding events hold pointers into them). Their data
+/// points into `payload` for reduce-scatter, else into the run's
+/// shared PayloadPattern.
 struct Msg {
   std::uint64_t msg_id = 0;
   std::uint32_t r = 0, s = 0, d = 0;
-  std::vector<std::byte> payload;
+  std::vector<std::byte> payload;  // reduce only: fill_typed elements
   std::vector<p4::Packet> packets;
   bool done = false;
   bool failed = false;
@@ -66,6 +70,7 @@ struct Driver {
   std::uint64_t extent = 0;
   std::uint64_t slot_stride = 0;
   std::vector<std::unique_ptr<offload::SpecializedPlan>> plans;
+  std::optional<offload::PayloadPattern> pattern;
 
   // Streaming-reduction landing.
   spin::ComputeConfig cc;
@@ -211,6 +216,7 @@ struct Driver {
   }
 
   void build_messages() {
+    if (!reduce) pattern.emplace(block);
     msgs.resize(static_cast<std::uint64_t>(cfg.rounds) * P * (P - 1));
     for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
       for (std::uint32_t s = 0; s < P; ++s) {
@@ -226,13 +232,12 @@ struct Driver {
             m.payload.resize(block);
             spin::fill_typed(m.payload.data(), block, cfg.elem,
                              payload_seed(m));
-          } else {
-            m.payload = offload::packed_message_pattern(block,
-                                                        payload_seed(m));
           }
           m.packets = p4::packetize(
               m.msg_id, (static_cast<std::uint64_t>(r) << 32) | s,
-              m.payload, cfg.fabric.cost.pkt_payload);
+              reduce ? std::span<const std::byte>(m.payload)
+                     : pattern->view(block, payload_seed(m)),
+              cfg.fabric.cost.pkt_payload);
         }
       }
     }
@@ -341,13 +346,15 @@ struct Driver {
       const std::byte* got =
           hosts[m.d]->memory().data() +
           (static_cast<std::uint64_t>(m.r) * P + m.s) * slot_stride;
+      const std::byte* payload =
+          pattern->view(block, payload_seed(m)).data();
       bool ok;
       if (cfg.offload) {
         std::fill(ref.begin(), ref.end(), std::byte{0});
-        ddt::unpack(m.payload.data(), *type, 1, ref.data());
+        ddt::unpack(payload, *type, 1, ref.data());
         ok = std::memcmp(got, ref.data(), slot_stride) == 0;
       } else {
-        ok = std::memcmp(got, m.payload.data(), block) == 0;
+        ok = std::memcmp(got, payload, block) == 0;
       }
       if (ok) {
         ++run.verified_windows;

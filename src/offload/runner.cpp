@@ -5,6 +5,8 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "dataloop/cache.hpp"
 #include "ddt/pack.hpp"
@@ -32,18 +34,44 @@ std::string_view strategy_name(StrategyKind kind) {
   return "?";
 }
 
+PayloadPattern::PayloadPattern(std::uint64_t max_bytes)
+    : tiled_(max_bytes + 256) {
+  // The one place the payload formula lives: base[j] for one period,
+  // then whole-period copies.
+  for (std::uint64_t j = 0; j < 256; ++j) {
+    tiled_[j] = static_cast<std::byte>((j * 167 + 5) & 0xFF);
+  }
+  for (std::uint64_t at = 256; at < tiled_.size(); at += 256) {
+    std::memcpy(tiled_.data() + at, tiled_.data(),
+                std::min<std::uint64_t>(256, tiled_.size() - at));
+  }
+}
+
+std::span<const std::byte> PayloadPattern::view(std::uint64_t bytes,
+                                                std::uint64_t seed) const {
+  if (bytes > max_bytes()) {
+    throw std::invalid_argument("PayloadPattern::view: " +
+                                std::to_string(bytes) + " bytes exceed " +
+                                std::to_string(max_bytes()));
+  }
+  return {tiled_.data() + ((seed * 43) & 0xFF), bytes};
+}
+
 std::vector<std::byte> packed_message_pattern(std::uint64_t bytes,
                                               std::uint64_t seed) {
-  std::vector<std::byte> v(bytes);
-  for (std::uint64_t i = 0; i < bytes; ++i) {
-    v[i] = static_cast<std::byte>((i * 167 + seed * 13 + 5) & 0xFF);
-  }
-  return v;
+  const PayloadPattern pattern(bytes);
+  const auto v = pattern.view(bytes, seed);
+  return {v.begin(), v.end()};
 }
 
 ReceiveRun run_receive(const ReceiveConfig& config) {
-  assert(config.type && "receive needs a datatype");
-  assert(config.count > 0 && "receive needs at least one instance");
+  if (!config.type) {
+    throw std::invalid_argument("run_receive: ReceiveConfig.type is null");
+  }
+  if (config.count == 0) {
+    throw std::invalid_argument(
+        "run_receive: ReceiveConfig.count must be > 0");
+  }
   std::optional<sim::check::ScopedEnable> check_scope;
   if (config.validate) check_scope.emplace(true);
 
@@ -100,20 +128,25 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   // The packed message (what the sender's pack/streaming produced). For
   // compute runs the stream carries valid typed elements (fill_typed),
   // quantized by the sender for kTransform.
-  std::vector<std::byte> packed;
+  std::optional<PayloadPattern> pattern;
+  std::vector<std::byte> typed;
+  std::span<const std::byte> packed;
   if (!compute_on) {
-    packed = packed_message_pattern(msg_bytes, config.seed);
+    pattern.emplace(msg_bytes);
+    packed = pattern->view(msg_bytes, config.seed);
   } else if (transform) {
     const spin::ElemType helem =
         cc.quant == spin::QuantScheme::kF64ToF32 ? spin::ElemType::kFloat64
                                                  : spin::ElemType::kFloat32;
     std::vector<std::byte> logical(logical_bytes);
     spin::fill_typed(logical.data(), logical_bytes, helem, config.seed);
-    packed.resize(msg_bytes);
-    spin::quantize(packed.data(), logical.data(), logical_bytes, cc.quant);
+    typed.resize(msg_bytes);
+    spin::quantize(typed.data(), logical.data(), logical_bytes, cc.quant);
+    packed = typed;
   } else {
-    packed.resize(msg_bytes);
-    spin::fill_typed(packed.data(), msg_bytes, cc.elem, config.seed);
+    typed.resize(msg_bytes);
+    spin::fill_typed(typed.data(), msg_bytes, cc.elem, config.seed);
+    packed = typed;
   }
 
   // Host-unpack baseline keeps a bounce buffer next to the receive

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -103,12 +104,38 @@ struct ReceiveRun {
   std::int64_t buffer_shift = 0;
 };
 
+/// Throws std::invalid_argument on a null type or a zero count.
 ReceiveRun run_receive(const ReceiveConfig& config);
 
+/// The harness's deterministic message payloads, shared and read-only.
+///
+/// Byte i of the payload for `seed` is (167*i + 13*seed + 5) & 0xFF. In
+/// i the sequence has period 256, and since 167*43 = 13 (mod 256) a seed
+/// only rotates it: byte i is base[(i + 43*seed) & 255], where base[j] =
+/// (167*j + 5) & 0xFF. One buffer of the tiled base sequence, max_bytes +
+/// 256 long, therefore holds every payload of up to max_bytes bytes as a
+/// window. A run builds one and packetizes and verifies every message
+/// from views into it; the views stay valid while the object lives.
+class PayloadPattern {
+ public:
+  explicit PayloadPattern(std::uint64_t max_bytes);
+
+  /// The payload of `bytes` bytes for `seed`. Throws
+  /// std::invalid_argument when `bytes` exceeds max_bytes().
+  std::span<const std::byte> view(std::uint64_t bytes,
+                                  std::uint64_t seed) const;
+  std::uint64_t max_bytes() const { return tiled_.size() - 256; }
+
+ private:
+  std::vector<std::byte> tiled_;
+};
+
 /// The deterministic packed stream run_receive sends (a pure function of
-/// length and `ReceiveConfig::seed`). Exposed so differential oracles can
-/// compute the expected receive buffer with ddt::unpack and compare it
-/// against ReceiveRun::buffer.
+/// length and `ReceiveConfig::seed`): a copy of
+/// PayloadPattern(bytes).view(bytes, seed), whose comment gives the
+/// byte formula and its period-256 identity. Exposed so differential
+/// oracles can compute the expected receive buffer with ddt::unpack and
+/// compare it against ReceiveRun::buffer.
 std::vector<std::byte> packed_message_pattern(std::uint64_t bytes,
                                               std::uint64_t seed);
 

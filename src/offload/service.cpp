@@ -5,6 +5,8 @@
 #include <cstring>
 #include <deque>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "ddt/pack.hpp"
@@ -25,14 +27,35 @@ std::uint64_t msg_key(std::uint32_t tenant, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(tenant + 1) << 40) | seq;
 }
 
-/// Per-tenant receive-buffer geometry (one dedicated slot per message,
-/// so late verification of any sampled message stays sound).
+/// Per-tenant receive-buffer geometry and slot pool. A message takes a
+/// slot at admission: the most recently freed one (LIFO), else a fresh
+/// one from the bump pointer. It gives the slot back after on_done has
+/// verified it, and only if it went out lossless, where every DMA write
+/// has landed by msg-done. A reliable-transport message never gives it
+/// back: a duplicate arriving after its completion was dispatched still
+/// runs a handler (spin/nic.cpp deliver_spin), as can a retransmission
+/// of a failed put, and that DMA may land after msg-done. Host memory is
+/// sized for one slot per message (the lossy worst case); spin::Host
+/// zeroes it lazily, so the slots a lossless run never takes cost
+/// nothing.
 struct TenantGeometry {
   std::uint64_t msg_bytes = 0;
   std::int64_t shift = 0;       // lift negative-lb layouts into the slot
   std::uint64_t stride = 0;     // slot size, 64-byte aligned
   std::int64_t base = 0;        // first slot's offset in host memory
   std::vector<ddt::Region> regions;
+  std::vector<std::uint64_t> free_slots;  // LIFO
+  std::uint64_t fresh_slots = 0;          // bump pointer
+
+  std::uint64_t take_slot() {
+    if (free_slots.empty()) return fresh_slots++;
+    const std::uint64_t slot = free_slots.back();
+    free_slots.pop_back();
+    return slot;
+  }
+  std::int64_t slot_offset(std::uint64_t slot) const {
+    return base + static_cast<std::int64_t>(slot * stride);
+  }
 };
 
 TenantGeometry tenant_geometry(const ServiceTenant& t) {
@@ -58,13 +81,13 @@ TenantGeometry tenant_geometry(const ServiceTenant& t) {
 struct MsgRecord {
   std::uint32_t tenant = 0;
   std::uint64_t seq = 0;
+  std::uint64_t slot = 0;  // receive slot (TenantGeometry), set at admit
   sim::Time arrival = 0;
   bool host_path = false;  // facade fell back: packed landing
-  std::vector<std::byte> packed;  // alive until the message completes
   // Lossy path only: the reliable transport holds a pointer to this
-  // vector (and packet data spans into `packed`), and late duplicates
-  // can deliver after the message retires — both move to the run-scoped
-  // graveyard when the record dies, never freed mid-run.
+  // vector, and late duplicates can deliver after the message retires —
+  // it moves to the run-scoped graveyard when the record dies, never
+  // freed mid-run.
   std::unique_ptr<std::vector<p4::Packet>> packets;
 };
 
@@ -75,6 +98,7 @@ struct ServiceState {
   spin::NicModel* nic = nullptr;
   spin::Link* link = nullptr;
   DdtEngine* facade = nullptr;
+  const PayloadPattern* pattern = nullptr;
 
   std::vector<TenantGeometry> geometry;
   std::vector<DdtEngine::TypeHandle> handles;
@@ -91,9 +115,8 @@ struct ServiceState {
   std::uint64_t verify_failures = 0;
   std::uint64_t put_failures = 0;
   std::uint64_t remaining = 0;  // offered messages not yet retired
-  // See MsgRecord: buffers of retired lossy messages live here until
+  // See MsgRecord: packets of retired lossy messages live here until
   // the engine drains.
-  std::vector<std::vector<std::byte>> graveyard_packed;
   std::vector<std::unique_ptr<std::vector<p4::Packet>>> graveyard_packets;
 
   void on_arrival(std::uint32_t tenant, std::uint64_t seq, sim::Time at);
@@ -102,6 +125,13 @@ struct ServiceState {
   void on_put_failed(std::uint64_t key);
   void retire(std::unordered_map<std::uint64_t, MsgRecord>::iterator it);
   bool verify(const MsgRecord& rec) const;
+
+  /// Each message carries its own seeded pattern so verification can
+  /// tell messages of the same tenant apart.
+  std::span<const std::byte> payload(const MsgRecord& rec) const {
+    return pattern->view(geometry[rec.tenant].msg_bytes,
+                         config->seed * 0x10001 + msg_key(rec.tenant, rec.seq));
+  }
 };
 
 void ServiceState::on_arrival(std::uint32_t tenant, std::uint64_t seq,
@@ -126,9 +156,9 @@ void ServiceState::on_arrival(std::uint32_t tenant, std::uint64_t seq,
 void ServiceState::admit(std::uint64_t key) {
   MsgRecord& rec = live.at(key);
   const ServiceTenant& tenant = config->tenants[rec.tenant];
-  const TenantGeometry& g = geometry[rec.tenant];
-  const std::int64_t slot =
-      g.base + static_cast<std::int64_t>(rec.seq * g.stride);
+  TenantGeometry& g = geometry[rec.tenant];
+  rec.slot = g.take_slot();
+  const std::int64_t slot = g.slot_offset(rec.slot);
 
   const DdtEngine::PostResult post = facade->post_receive(
       handles[rec.tenant], tenant.count, slot + g.shift, g.stride,
@@ -136,10 +166,7 @@ void ServiceState::admit(std::uint64_t key) {
   rec.host_path = post.strategy == StrategyKind::kHostUnpack;
   if (rec.host_path) stats[rec.tenant].host_fallbacks += 1;
 
-  // Each message carries its own seeded pattern so verification can
-  // tell messages of the same tenant apart.
-  rec.packed = packed_message_pattern(
-      g.msg_bytes, config->seed * 0x10001 + key);
+  const auto packed = payload(rec);
   if (blame != nullptr) {
     // Backpressure wait: arrival -> this admission (empty if immediate).
     blame->interval(key, sim::trace::BlameStage::kAdmission, rec.arrival,
@@ -148,7 +175,7 @@ void ServiceState::admit(std::uint64_t key) {
   const sim::faults::FaultPlan plan(config->faults, key);
   if (plan.active()) {
     rec.packets = std::make_unique<std::vector<p4::Packet>>(
-        p4::packetize(key, key, rec.packed, config->cost.pkt_payload));
+        p4::packetize(key, key, packed, config->cost.pkt_payload));
     link->send_reliable_queued(
         *rec.packets, engine->now(), plan, config->retransmit,
         [this, key](sim::Time, bool ok) {
@@ -156,7 +183,7 @@ void ServiceState::admit(std::uint64_t key) {
         });
   } else {
     const auto packets =
-        p4::packetize(key, key, rec.packed, config->cost.pkt_payload);
+        p4::packetize(key, key, packed, config->cost.pkt_payload);
     link->send_queued(packets, engine->now());
   }
 
@@ -167,18 +194,16 @@ void ServiceState::admit(std::uint64_t key) {
 bool ServiceState::verify(const MsgRecord& rec) const {
   const ServiceTenant& tenant = config->tenants[rec.tenant];
   const TenantGeometry& g = geometry[rec.tenant];
-  const std::int64_t slot =
-      g.base + static_cast<std::int64_t>(rec.seq * g.stride);
+  const std::int64_t slot = g.slot_offset(rec.slot);
   const std::byte* mem = host->memory().data();
   if (g.msg_bytes == 0) return true;
+  const std::byte* packed = payload(rec).data();
   if (rec.host_path) {
     // Host fallback: the slot holds the raw packed stream.
-    return std::memcmp(mem + slot + g.shift, rec.packed.data(),
-                       g.msg_bytes) == 0;
+    return std::memcmp(mem + slot + g.shift, packed, g.msg_bytes) == 0;
   }
   std::vector<std::byte> ref(g.stride, std::byte{0});
-  ddt::unpack(rec.packed.data(), *tenant.type, tenant.count,
-              ref.data() + g.shift);
+  ddt::unpack(packed, *tenant.type, tenant.count, ref.data() + g.shift);
   for (const auto& r : g.regions) {
     const std::int64_t at = g.shift + r.offset;
     if (std::memcmp(mem + slot + at, ref.data() + at, r.size) != 0) {
@@ -204,6 +229,9 @@ void ServiceState::on_done(std::uint64_t key, sim::Time when) {
     verified += 1;
     if (!verify(rec)) verify_failures += 1;
   }
+  if (rec.packets == nullptr) {
+    geometry[rec.tenant].free_slots.push_back(rec.slot);
+  }
   retire(it);
 }
 
@@ -222,7 +250,6 @@ void ServiceState::retire(
     std::unordered_map<std::uint64_t, MsgRecord>::iterator it) {
   MsgRecord& rec = it->second;
   if (rec.packets != nullptr) {
-    graveyard_packed.push_back(std::move(rec.packed));
     graveyard_packets.push_back(std::move(rec.packets));
   }
   live.erase(it);
@@ -242,8 +269,21 @@ void ServiceState::retire(
 }  // namespace
 
 ServiceRun run_service(const ServiceConfig& config) {
-  assert(!config.tenants.empty() && "service needs at least one tenant");
-  assert(config.max_inflight > 0 && "admission window must be positive");
+  if (config.tenants.empty()) {
+    throw std::invalid_argument("run_service: no tenants");
+  }
+  if (config.max_inflight == 0) {
+    throw std::invalid_argument("run_service: max_inflight must be > 0");
+  }
+  for (const auto& t : config.tenants) {
+    if (!t.type) throw std::invalid_argument("run_service: null tenant type");
+    if (t.count == 0) {
+      throw std::invalid_argument("run_service: tenant count must be > 0");
+    }
+    if (t.messages == 0) {
+      throw std::invalid_argument("run_service: tenant messages must be > 0");
+    }
+  }
   std::optional<sim::check::ScopedEnable> check_scope;
   if (config.validate) check_scope.emplace(true);
 
@@ -251,13 +291,16 @@ ServiceRun run_service(const ServiceConfig& config) {
   st.config = &config;
   st.geometry.reserve(config.tenants.size());
   std::uint64_t host_bytes = 64;
+  std::uint64_t max_msg_bytes = 0;
   for (const auto& t : config.tenants) {
-    assert(t.type && t.count > 0 && t.messages > 0);
     TenantGeometry g = tenant_geometry(t);
     g.base = static_cast<std::int64_t>(host_bytes);
     host_bytes += g.stride * t.messages;
+    max_msg_bytes = std::max(max_msg_bytes, g.msg_bytes);
     st.geometry.push_back(std::move(g));
   }
+  const PayloadPattern pattern(max_msg_bytes);
+  st.pattern = &pattern;
   st.stats.resize(config.tenants.size());
 
   sim::Engine engine;
@@ -351,6 +394,7 @@ ServiceRun run_service(const ServiceConfig& config) {
   run.evictions = facade.evictions();
   run.host_fallbacks = facade.host_fallbacks();
   run.put_failures = st.put_failures;
+  for (const auto& g : st.geometry) run.receive_slots += g.fresh_slots;
   run.metrics = nic.metrics().snapshot();
   if (st.blame != nullptr) run.blame = st.blame->completed();
   run.tracer = std::move(tracer);

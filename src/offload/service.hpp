@@ -17,6 +17,17 @@
 // driven by NicModel's message-done callback, so the loop closes inside
 // the simulation with no wall-clock dependence.
 //
+// Receive slots: each tenant lands messages in fixed-size host slots
+// drawn from a per-tenant pool (most recently freed first, else a fresh
+// one). A message sent lossless returns its slot once msg-done has
+// fired and the message was verified; by then all of its DMA writes
+// have landed. A message sent through the reliable transport never
+// returns its slot: a late duplicate (or a retransmission of a failed
+// put) still runs a handler after msg-done, and its DMA write must not
+// land in a later message's slot. A lossless run thus touches about
+// `max_inflight` slots however many messages it offers. Slot addresses
+// are invisible to the simulated model, so pooling changes no output.
+//
 // Determinism: arrival schedules are pure functions of (config, tenant
 // index) — see sim/arrivals.hpp — and everything else is the ordinary
 // deterministic DES machinery, so a ServiceRun is byte-identical across
@@ -107,6 +118,8 @@ struct ServiceRun {
   std::uint64_t evictions = 0;       // facade plan evictions
   std::uint64_t host_fallbacks = 0;  // facade host-unpack fallbacks
   std::uint64_t put_failures = 0;    // messages that never completed
+  /// Distinct receive slots the run touched (see "Receive slots" above).
+  std::uint64_t receive_slots = 0;
   sim::MetricsSnapshot metrics;
   /// Critical-path decomposition of every completed message, completion
   /// order, when `config.trace.blame` (see sim/trace/blame.hpp); empty
@@ -117,6 +130,9 @@ struct ServiceRun {
   std::unique_ptr<sim::trace::Tracer> tracer;
 };
 
+/// Throws std::invalid_argument when `config` has no tenants, a zero
+/// `max_inflight`, or a tenant with a null type, zero count or zero
+/// messages.
 ServiceRun run_service(const ServiceConfig& config);
 
 }  // namespace netddt::offload

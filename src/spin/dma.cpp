@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <cstring>
+#include <string>
+
+#include "sim/check.hpp"
 
 namespace netddt::spin {
 
@@ -129,10 +132,17 @@ void DmaEngine::start_next() {
     sample();
     engine_->schedule(landing, [this, req] {
       if (!req.src.empty()) {
-        assert(req.host_off >= 0 &&
-               static_cast<std::size_t>(req.host_off) + req.src.size() <=
-                   host_.size() &&
-               "DMA write outside host buffer");
+        const bool inside =
+            req.host_off >= 0 &&
+            static_cast<std::size_t>(req.host_off) + req.src.size() <=
+                host_.size();
+        NETDDT_CHECK(inside, "DMA write outside host buffer: msg " +
+                                 std::to_string(req.msg_id) + " writes [" +
+                                 std::to_string(req.host_off) + ", +" +
+                                 std::to_string(req.src.size()) +
+                                 ") of a " + std::to_string(host_.size()) +
+                                 "-byte buffer");
+        assert(inside && "DMA write outside host buffer");
         if (req.rmw) {
           apply_reduce(host_.data() + req.host_off, req.src.data(),
                        req.src.size(), req.op, req.elem);

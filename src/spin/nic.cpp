@@ -1,11 +1,20 @@
 #include "spin/nic.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <new>
 #include <string>
 
 #include "sim/check.hpp"
 
 namespace netddt::spin {
+
+Host::Host(std::size_t bytes)
+    : memory_(static_cast<std::byte*>(
+          std::calloc(std::max<std::size_t>(bytes, 1), 1))),
+      bytes_(bytes) {
+  if (memory_ == nullptr) throw std::bad_alloc();
+}
 
 NicModel::NicModel(sim::Engine& engine, Host& host, CostModel cost,
                    NicConfig config)

@@ -4,6 +4,7 @@
 // (plain RDMA) data path for match entries without an execution context.
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <span>
@@ -24,16 +25,24 @@
 namespace netddt::spin {
 
 /// Receiver host: memory the NIC DMAs into plus the Portals event queue
-/// the application polls.
+/// the application polls. The memory reads as zero. It comes from
+/// calloc, so a large buffer maps fresh zero pages on first touch and the
+/// parts no run ever writes cost neither page faults nor a memset.
 class Host {
  public:
-  explicit Host(std::size_t bytes) : memory_(bytes) {}
-  std::span<std::byte> memory() { return memory_; }
-  std::span<const std::byte> memory() const { return memory_; }
+  explicit Host(std::size_t bytes);
+  std::span<std::byte> memory() { return {memory_.get(), bytes_}; }
+  std::span<const std::byte> memory() const {
+    return {memory_.get(), bytes_};
+  }
   p4::EventQueue& events() { return events_; }
 
  private:
-  std::vector<std::byte> memory_;
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  std::unique_ptr<std::byte, Free> memory_;
+  std::size_t bytes_;
   p4::EventQueue events_;
 };
 

@@ -1,8 +1,13 @@
 // Edge-case and accounting tests for the receive-experiment driver:
 // single-packet and odd-sized messages, gamma reporting, packet-buffer
-// stats, HPU-count effects, and determinism.
+// stats, HPU-count effects, determinism, public-API misuse, and the
+// shared payload pattern.
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 
 #include "ddt/datatype.hpp"
 #include "offload/runner.hpp"
@@ -147,6 +152,38 @@ TEST(Runner, HostSetupReportedForCheckpointedOnly) {
   EXPECT_EQ(run_receive(vec_cfg(4096, 128, StrategyKind::kSpecialized))
                 .result.host_setup_time,
             0);
+}
+
+TEST(Runner, MisuseThrows) {
+  ReceiveConfig cfg = vec_cfg(8, 64, StrategyKind::kRwCp);
+  cfg.count = 0;
+  EXPECT_THROW(run_receive(cfg), std::invalid_argument);
+  cfg.count = 1;
+  cfg.type = nullptr;
+  EXPECT_THROW(run_receive(cfg), std::invalid_argument);
+}
+
+TEST(PayloadPattern, ViewsAndCopiesMatchTheFormula) {
+  const std::uint64_t sizes[] = {0, 1, 255, 256, 257, 16387};
+  const std::uint64_t seeds[] = {0, 1, 2, 255, 256, (1ull << 40) + 7};
+  const PayloadPattern pattern(16387);
+  for (const std::uint64_t bytes : sizes) {
+    for (const std::uint64_t seed : seeds) {
+      const auto view = pattern.view(bytes, seed);
+      const auto copy = packed_message_pattern(bytes, seed);
+      ASSERT_EQ(view.size(), bytes);
+      ASSERT_EQ(copy.size(), bytes);
+      for (std::uint64_t i = 0; i < bytes; ++i) {
+        const auto want =
+            static_cast<std::byte>((i * 167 + seed * 13 + 5) & 0xFF);
+        ASSERT_EQ(view[i], want)
+            << bytes << " B, seed " << seed << ", i " << i;
+        ASSERT_EQ(copy[i], want)
+            << bytes << " B, seed " << seed << ", i " << i;
+      }
+    }
+  }
+  EXPECT_THROW(pattern.view(16388, 0), std::invalid_argument);
 }
 
 TEST(LeafWindow, WholeStreamMatchesFlatten) {

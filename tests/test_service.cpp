@@ -1,11 +1,12 @@
 // Tests for the steady-state service driver: completion and verified
 // correctness under concurrency, admission-window backpressure,
-// determinism across repeats, engine-equivalence, and fairness for
-// symmetric tenants.
+// determinism across repeats, engine-equivalence, fairness for
+// symmetric tenants, receive-slot recycling, and public-API misuse.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "ddt/datatype.hpp"
 #include "offload/service.hpp"
@@ -117,6 +118,90 @@ TEST(Service, BurstyArrivalsStillDrain) {
   const ServiceRun run = run_service(cfg);
   for (const auto& ts : run.tenants) EXPECT_EQ(ts.completed, ts.offered);
   EXPECT_EQ(run.verify_failures, 0u);
+}
+
+// Two tenants with different slot geometries (strided and contiguous),
+// a small admission window and every message verified: a slot handed to
+// a new message while an older one could still write into it would
+// show up as a verify failure.
+ServiceConfig recycling_config() {
+  ServiceConfig cfg;
+  for (int t = 0; t < 2; ++t) {
+    ServiceTenant tenant;
+    tenant.type =
+        t == 0 ? ddt::Datatype::hvector(8, 256, 512, ddt::Datatype::int8())
+               : ddt::Datatype::contiguous(3000, ddt::Datatype::int8());
+    tenant.arrivals.rate = 2e6;
+    tenant.messages = 300;
+    cfg.tenants.push_back(tenant);
+  }
+  cfg.max_inflight = 4;
+  cfg.verify_every = 1;
+  cfg.validate = true;
+  cfg.seed = 11;
+  return cfg;
+}
+
+void expect_all_verified(const ServiceRun& run) {
+  std::uint64_t completed = 0;
+  for (const auto& ts : run.tenants) {
+    EXPECT_EQ(ts.completed + ts.failed, ts.offered);
+    completed += ts.completed;
+  }
+  EXPECT_GT(completed, 0u);
+  EXPECT_EQ(run.verified, completed);
+  EXPECT_EQ(run.verify_failures, 0u);
+}
+
+TEST(ServiceSlots, LosslessRunRecyclesSlots) {
+  const ServiceRun run = run_service(recycling_config());
+  expect_all_verified(run);
+  EXPECT_EQ(run.put_failures, 0u);
+  // Each tenant holds at most max_inflight slots at once.
+  EXPECT_LE(run.receive_slots, 2u * 4u);
+}
+
+TEST(ServiceSlots, LossyRunNeverReusesASlot) {
+  ServiceConfig cfg = recycling_config();
+  cfg.faults.drop_rate = 0.05;
+  cfg.faults.dup_rate = 0.05;
+  cfg.faults.seed = 3;
+  const ServiceRun run = run_service(cfg);
+  expect_all_verified(run);
+  EXPECT_GT(run.metrics.counter("nic.pkts.duplicate"), 0u)
+      << "late duplicates are what the no-reuse rule guards against";
+  EXPECT_EQ(run.receive_slots, 600u);
+}
+
+TEST(ServiceSlots, HostFallbackLandingIsRecycled) {
+  ServiceConfig cfg = recycling_config();
+  cfg.tenants[1].attrs.allow_offload = false;
+  const ServiceRun run = run_service(cfg);
+  expect_all_verified(run);
+  EXPECT_EQ(run.tenants[1].host_fallbacks, 300u);
+  EXPECT_LE(run.receive_slots, 2u * 4u);
+}
+
+TEST(Service, MisuseThrows) {
+  ServiceConfig cfg = small_config();
+  cfg.tenants.clear();
+  EXPECT_THROW(run_service(cfg), std::invalid_argument);
+
+  cfg = small_config();
+  cfg.max_inflight = 0;
+  EXPECT_THROW(run_service(cfg), std::invalid_argument);
+
+  cfg = small_config();
+  cfg.tenants[1].type = nullptr;
+  EXPECT_THROW(run_service(cfg), std::invalid_argument);
+
+  cfg = small_config();
+  cfg.tenants[0].count = 0;
+  EXPECT_THROW(run_service(cfg), std::invalid_argument);
+
+  cfg = small_config();
+  cfg.tenants[1].messages = 0;
+  EXPECT_THROW(run_service(cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -176,6 +176,17 @@ TEST(Dma, WritesLandInHostMemory) {
   EXPECT_EQ(dma.total_bytes(), 256u);
 }
 
+TEST(Dma, WriteOutsideHostBufferViolatesCheck) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(4096, std::byte{0});
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(256);
+  dma.write(4000, src, false, 9);  // last 160 bytes past the end
+  sim::check::ScopedEnable checks(true);
+  EXPECT_THROW(eng.run(), sim::check::Violation);
+}
+
 TEST(Dma, CompletionAfterServiceAndLatency) {
   sim::Engine eng;
   CostModel cost;
