@@ -1,5 +1,6 @@
 // Ablation: goodput under a lossy wire. The message goes through the
-// reliable transport (spin::Link::send_reliable): dropped attempts are
+// reliable-put protocol (p4::ReliablePut) over a single link
+// (spin::Link::send_reliable): dropped attempts are
 // retransmitted after a timeout, duplicates and reordered arrivals reach
 // the NIC as-is, and the completion packet is held back until every data
 // packet is acked. Every run still verifies the receive buffer against

@@ -22,8 +22,9 @@
 // p50/p99/p99.9 of that distribution.
 //
 // Lossy runs (CollectiveConfig::faults.active()) route every message
-// through Fabric::send_reliable, composing PR 4's reliable transport
-// (acks, backoff, held-back completion) with multi-hop contention.
+// through Fabric::send_reliable, composing the reliable-put protocol
+// (p4::ReliablePut: acks, backoff, held-back completion) with multi-hop
+// contention.
 // Messages that exhaust their retries are counted in `failed` and their
 // destination windows are excluded from verification.
 //

@@ -1,7 +1,7 @@
 #include "fabric/fabric.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace netddt::fabric {
 
@@ -24,8 +24,21 @@ Fabric::Fabric(sim::Engine& engine, const FabricConfig& config)
 }
 
 void Fabric::attach(std::uint32_t node, spin::NicModel& nic) {
-  assert(node < nics_.size());
+  if (node >= nics_.size()) {
+    throw std::invalid_argument("Fabric::attach: node id out of range");
+  }
   nics_[node] = &nic;
+}
+
+spin::NicModel& Fabric::endpoint(std::uint32_t src, std::uint32_t dst) const {
+  if (src >= nics_.size() || dst >= nics_.size()) {
+    throw std::invalid_argument("Fabric: node id out of range");
+  }
+  if (src == dst) throw std::invalid_argument("Fabric: src == dst");
+  if (nics_[dst] == nullptr) {
+    throw std::invalid_argument("Fabric: destination NIC not attached");
+  }
+  return *nics_[dst];
 }
 
 const std::vector<std::uint32_t>& Fabric::route_for(std::uint32_t src,
@@ -39,16 +52,6 @@ const std::vector<std::uint32_t>& Fabric::route_for(std::uint32_t src,
     routes_.push_back(std::move(r));
   }
   return *routes_[route_index_[key]];
-}
-
-sim::Time Fabric::base_latency(std::uint32_t src, std::uint32_t dst,
-                               std::uint32_t bytes) const {
-  std::vector<std::uint32_t> r;
-  topo_->route(src, dst, r);
-  const auto hops = static_cast<sim::Time>(r.size());
-  return hops * (sim::transfer_time(std::max<std::uint64_t>(bytes, 1),
-                                    config_.cost.line_rate_gbps) +
-                 config_.hop_latency);
 }
 
 sim::Time Fabric::pass_port(std::uint32_t p, sim::Time at,
@@ -98,41 +101,119 @@ void Fabric::forward(const p4::Packet* pkt,
 void Fabric::send(std::uint32_t src, std::uint32_t dst,
                   const std::vector<p4::Packet>& packets,
                   sim::Time earliest) {
-  assert(src != dst);
-  assert(nics_[dst] != nullptr && "destination NIC not attached");
+  spin::NicModel* nic = &endpoint(src, dst);
   const std::vector<std::uint32_t>& route = route_for(src, dst);
   for (const p4::Packet& p : packets) {
-    forward(&p, &route, 0, earliest, nics_[dst]);
+    forward(&p, &route, 0, earliest, nic);
   }
 }
 
-// --- Reliable transport across the fabric ---------------------------------
+// --- The Fabric as a reliable-put carrier ---------------------------------
 //
-// The sender-side state machine of one multi-hop put: the fabric
-// analogue of spin::Link's ReliableTransfer (PR 4), reusing
-// p4::ReliablePutState / RetransmitConfig / sim::faults::FaultPlan.
-// In-flight packet copies live in `copies` (a deque, so addresses stay
-// stable) because retransmitted/duplicated deliveries need their own
-// flag bits while the caller's packets stay untouched.
+// The protocol (acks, backoff, retry cap, held-back completion) is
+// p4::ReliablePut; this carrier forwards each attempt's copy hop by hop
+// along the cached route, applies drops and fault skew at ejection and
+// keeps the fabric.* counters. In-flight copies live in `copies` (a
+// deque, so addresses stay stable) because retransmitted/duplicated
+// deliveries need their own flag bits while the caller's packets stay
+// untouched.
 
-struct Fabric::Transfer {
+struct Fabric::Transfer final : p4::ReliablePut {
   Fabric* fab;
-  const std::vector<p4::Packet>* packets;
   const std::vector<std::uint32_t>* route;
   spin::NicModel* dst;
-  sim::faults::FaultPlan plan;
-  p4::RetransmitConfig rc;
-  sim::Time base_timeout = 0;
-  sim::Time ack_latency = 0;  // lossless return channel, no serialization
-  p4::ReliablePutState state;
-  bool completion_sent = false;
-  bool done = false;
-  PutCompleteFn on_complete;
   std::deque<p4::Packet> copies;
 
-  Transfer(Fabric* f, const std::vector<p4::Packet>& pkts,
-           const sim::faults::FaultPlan& p, const p4::RetransmitConfig& cfg)
-      : fab(f), packets(&pkts), plan(p), rc(cfg), state(pkts.size()) {}
+  Transfer(Fabric* f, const std::vector<std::uint32_t>& r,
+           spin::NicModel& nic, const std::vector<p4::Packet>& pkts,
+           const sim::faults::FaultPlan& plan,
+           const p4::RetransmitConfig& rc, p4::PutCompleteFn on_complete)
+      : ReliablePut(*f->engine_, pkts, plan, rc,
+                    derived_timeout(*f, r.size(), plan),
+                    ack_latency(*f, r.size()),
+                    {f->retransmits_, f->acks_, f->put_failures_},
+                    std::move(on_complete)),
+        fab(f),
+        route(&r),
+        dst(&nic) {}
+
+  // Lossless return channel: propagation only, no serialization.
+  static sim::Time ack_latency(const Fabric& f, std::size_t hops) {
+    return static_cast<sim::Time>(hops) * f.config_.hop_latency;
+  }
+
+  // Measured from the copy's injection departure: forward propagation,
+  // a full output FIFO of queueing at every downstream hop, the
+  // worst-case fault skew, and the ack's return. An undropped attempt on
+  // a congested fabric is then normally acked before its timer fires; a
+  // spurious retransmit remains safe — the NIC gates duplicates.
+  static sim::Time derived_timeout(const Fabric& f, std::size_t route_len,
+                                   const sim::faults::FaultPlan& plan) {
+    const auto hops = static_cast<sim::Time>(route_len);
+    const sim::Time slot = f.cost().pkt_interval();
+    return hops * (f.config_.hop_latency + slot) +
+           hops * f.config_.port_buffer_pkts * slot +
+           (plan.config().reorder_window + 2) * slot +
+           ack_latency(f, route_len);
+  }
+
+  sim::Time send_attempt(const std::shared_ptr<ReliablePut>& self,
+                         std::uint64_t idx, std::uint32_t attempt,
+                         sim::Time at, const sim::faults::FaultDecision& d,
+                         sim::Time /*timeout*/) override {
+    const sim::Time slot = fab->cost().pkt_interval();
+    copies.push_back(packets()[idx]);
+    p4::Packet* copy = &copies.back();
+    copy->retransmit = attempt > 0;
+    const sim::Time departed =
+        forward(self, copy, idx, 0, at, d.drop, d.delay_slots * slot);
+    if (!d.drop && d.duplicate) {
+      copies.push_back(packets()[idx]);
+      p4::Packet* dup = &copies.back();
+      dup->retransmit = attempt > 0;
+      dup->dup = true;
+      forward(self, dup, idx, 0, at, /*drop=*/false,
+              (d.delay_slots + d.dup_delay_slots) * slot);
+    }
+    // The timer starts when the first copy's last byte leaves the
+    // injection port, so injection-queue wait (unbounded under open-loop
+    // load) never eats the timeout budget.
+    return departed;
+  }
+
+  // Forward one in-flight copy through hop `hop`; `skew` is the fault
+  // plan's reorder/duplicate delay, applied at ejection. Delivery
+  // schedules the ack. Returns the time the copy's last byte leaves the
+  // `hop` port.
+  static sim::Time forward(const std::shared_ptr<ReliablePut>& self,
+                           const p4::Packet* copy, std::uint64_t idx,
+                           std::uint32_t hop, sim::Time now, bool drop,
+                           sim::Time skew) {
+    auto& t = static_cast<Transfer&>(*self);
+    Fabric& f = *t.fab;
+    const sim::Time serialized =
+        f.pass_port((*t.route)[hop], now, copy->payload_bytes);
+    const sim::Time arrival = serialized + f.config_.hop_latency;
+    if (hop + 1 < t.route->size()) {
+      f.engine_->schedule_at(arrival, [self, copy, idx, hop, drop, skew] {
+        forward(self, copy, idx, hop + 1,
+                static_cast<Transfer&>(*self).fab->engine_->now(), drop,
+                skew);
+      });
+      return serialized;
+    }
+    if (drop) {
+      // Applied at ejection: the doomed attempt consumed every hop's
+      // bandwidth, like a corrupted packet discarded by the receiver.
+      f.drops_->add(1);
+      return serialized;
+    }
+    f.engine_->schedule_at(arrival + skew, [self, copy, idx] {
+      static_cast<Transfer&>(*self).dst->deliver(*copy);
+      acknowledge(self, idx);
+    });
+    return serialized;
+  }
 };
 
 void Fabric::send_reliable(std::uint32_t src, std::uint32_t dst,
@@ -140,132 +221,12 @@ void Fabric::send_reliable(std::uint32_t src, std::uint32_t dst,
                            sim::Time earliest,
                            const sim::faults::FaultPlan& plan,
                            const p4::RetransmitConfig& rc,
-                           PutCompleteFn on_complete) {
-  assert(!packets.empty());
-  assert(src != dst);
-  assert(nics_[dst] != nullptr && "destination NIC not attached");
-  assert(plan.active() && "inert plans should use the lossless send()");
-  auto self = std::make_shared<Transfer>(this, packets, plan, rc);
-  self->route = &route_for(src, dst);
-  self->dst = nics_[dst];
-  self->on_complete = std::move(on_complete);
-  const auto hops = static_cast<sim::Time>(self->route->size());
-  self->ack_latency = hops * config_.hop_latency;
-  // Derived timeout, measured from the packet's injection departure
-  // (see forward_reliable): forward propagation, a full output FIFO of
-  // queueing at every downstream hop, the worst-case fault skew, and
-  // the ack's return. An undropped attempt on a congested fabric is
-  // then normally acked before its timer fires; a spurious retransmit
-  // remains safe — the NIC gates duplicates.
-  self->base_timeout =
-      rc.timeout > 0
-          ? rc.timeout
-          : hops * (config_.hop_latency + cost().pkt_interval()) +
-                hops * config_.port_buffer_pkts * cost().pkt_interval() +
-                (plan.config().reorder_window + 2) * cost().pkt_interval() +
-                self->ack_latency;
-  const std::size_t n = packets.size();
-  if (n == 1) {
-    // Single-packet put: the lone packet is both data and completion.
-    self->completion_sent = true;
-    transmit(self, 0, 0, earliest);
-    return;
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    transmit(self, i, 0, earliest);
-  }
-}
-
-void Fabric::transmit(const std::shared_ptr<Transfer>& self,
-                      std::uint64_t idx, std::uint32_t attempt,
-                      sim::Time at) {
-  Transfer& t = *self;
-  Fabric& f = *t.fab;
-  t.state.record_attempt(static_cast<std::size_t>(idx));
-  const sim::faults::FaultDecision d = t.plan.decide(idx, attempt);
-  const sim::Time slot = f.cost().pkt_interval();
-
-  t.copies.push_back((*t.packets)[idx]);
-  p4::Packet* copy = &t.copies.back();
-  copy->retransmit = attempt > 0;
-  const sim::Time departed = f.forward_reliable(self, copy, idx, 0, at,
-                                                d.drop, d.delay_slots * slot);
-  if (!d.drop && d.duplicate) {
-    t.copies.push_back((*t.packets)[idx]);
-    p4::Packet* dup = &t.copies.back();
-    dup->retransmit = attempt > 0;
-    dup->dup = true;
-    f.forward_reliable(self, dup, idx, 0, at, /*drop=*/false,
-                       (d.delay_slots + d.dup_delay_slots) * slot);
-  }
-
-  const sim::Time timeout = t.rc.timeout_for(attempt, t.base_timeout);
-  f.engine_->schedule_at(departed + timeout, [self, idx, attempt] {
-    Transfer& tr = *self;
-    if (tr.done || tr.state.acked(static_cast<std::size_t>(idx))) return;
-    if (attempt + 1 > tr.rc.max_retries) {
-      fail(self);
-      return;
-    }
-    tr.fab->retransmits_->add(1);
-    transmit(self, idx, attempt + 1, tr.fab->engine_->now());
-  });
-}
-
-sim::Time Fabric::forward_reliable(const std::shared_ptr<Transfer>& xfer,
-                                   const p4::Packet* copy, std::uint64_t idx,
-                                   std::uint32_t hop, sim::Time now,
-                                   bool drop, sim::Time skew) {
-  const sim::Time serialized =
-      pass_port((*xfer->route)[hop], now, copy->payload_bytes);
-  const sim::Time arrival = serialized + config_.hop_latency;
-  if (hop + 1 < xfer->route->size()) {
-    engine_->schedule_at(arrival, [xfer, copy, idx, hop, drop, skew] {
-      xfer->fab->forward_reliable(xfer, copy, idx, hop + 1,
-                                  xfer->fab->engine_->now(), drop, skew);
-    });
-    return serialized;
-  }
-  if (drop) {
-    // Applied at ejection: the doomed attempt consumed every hop's
-    // bandwidth, like a corrupted packet discarded by the receiver.
-    drops_->add(1);
-    return serialized;
-  }
-  engine_->schedule_at(arrival + skew, [xfer, copy, idx] {
-    Transfer& t = *xfer;
-    t.dst->deliver(*copy);
-    t.fab->engine_->schedule(t.ack_latency,
-                             [xfer, idx] { on_ack(xfer, idx); });
-  });
-  return serialized;
-}
-
-void Fabric::on_ack(const std::shared_ptr<Transfer>& self,
-                    std::uint64_t idx) {
-  Transfer& t = *self;
-  t.fab->acks_->add(1);
-  if (t.done || !t.state.mark_acked(static_cast<std::size_t>(idx))) return;
-  const std::uint64_t last = t.packets->size() - 1;
-  if (idx == last) {
-    // Completion packet acked: the put is complete.
-    t.done = true;
-    if (t.on_complete) t.on_complete(t.fab->engine_->now(), true);
-    return;
-  }
-  if (!t.completion_sent && t.state.data_acked()) {
-    // Every data packet acked: release the held-back completion packet.
-    t.completion_sent = true;
-    transmit(self, last, 0, t.fab->engine_->now());
-  }
-}
-
-void Fabric::fail(const std::shared_ptr<Transfer>& self) {
-  Transfer& t = *self;
-  t.done = true;
-  t.state.mark_failed();
-  t.fab->put_failures_->add(1);
-  if (t.on_complete) t.on_complete(t.fab->engine_->now(), false);
+                           p4::PutCompleteFn on_complete) {
+  spin::NicModel& nic = endpoint(src, dst);
+  p4::ReliablePut::start(
+      std::make_shared<Transfer>(this, route_for(src, dst), nic, packets,
+                                 plan, rc, std::move(on_complete)),
+      earliest);
 }
 
 }  // namespace netddt::fabric

@@ -15,14 +15,17 @@
 // attached NIC via NicModel::deliver — every receiver runs the full
 // matching/HPU/DMA pipeline.
 //
-// Reliability: send_reliable mirrors spin::Link's lossy-path contract
-// (PR 4) end-to-end across the fabric — per-packet acks on a lossless
-// return channel, exponential backoff (p4::RetransmitConfig), the
-// completion packet held until all data packets are acked, and fault
-// decisions drawn per (msg, pkt, attempt) from sim::faults::FaultPlan so
-// the schedule is independent of delivery order. A dropped attempt
-// traverses the full route and vanishes at ejection (a corrupted packet
-// consumes fabric bandwidth until the receiver discards it).
+// Reliability: send_reliable makes the Fabric the second carrier of
+// the one reliable-put protocol (p4::ReliablePut: per-packet acks on a
+// lossless return channel, exponential backoff, the completion packet
+// held until every data packet is acked, fault decisions drawn per
+// (msg, pkt, attempt) so the schedule is independent of delivery
+// order). The Fabric's own part: each attempt's copy traverses the full
+// route; a dropped attempt vanishes at ejection (a corrupted packet
+// consumes fabric bandwidth until the receiver discards it); a
+// duplicate is a second copy forwarded through every port; the
+// retransmit timer starts when the copy's last byte leaves the
+// injection port; acks return in one hop_latency per hop.
 //
 // Metrics live in the Fabric's own registry ("fabric.*"), separate from
 // the per-NIC registries, so single-link experiments publish none of
@@ -34,7 +37,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -68,6 +70,7 @@ class Fabric {
 
   /// Attach node `node`'s NIC as the delivery target of its ejection
   /// port. Every node a message is sent to must be attached first.
+  /// Throws std::invalid_argument when `node` is out of range.
   void attach(std::uint32_t node, spin::NicModel& nic);
 
   const Topology& topology() const { return *topo_; }
@@ -76,31 +79,25 @@ class Fabric {
   sim::MetricsRegistry& metrics() { return metrics_; }
   const sim::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// One-way latency of the route src -> dst with empty queues: per-hop
-  /// serialization of one `bytes`-byte packet plus hop_latency per hop.
-  sim::Time base_latency(std::uint32_t src, std::uint32_t dst,
-                         std::uint32_t bytes) const;
-
   /// Inject `packets` (wire order) at `src` for `dst`'s NIC, departing
   /// no earlier than `earliest`; lossless and exactly-once, the
-  /// fabric-wide analogue of Link::send_queued (injection serializes
-  /// behind src's port, FIFO ports keep the header-first /
-  /// completion-last order along the route). The caller keeps the
-  /// packets and their data alive until the simulation drains; arrival
-  /// times are observed through the destination NIC.
+  /// fabric-wide analogue of Link::send (injection serializes behind
+  /// src's port, FIFO ports keep the header-first / completion-last
+  /// order along the route). The caller keeps the packets and their
+  /// data alive until the simulation drains; arrival times are observed
+  /// through the destination NIC. Throws std::invalid_argument when
+  /// `src == dst`, either id is out of range or `dst` is not attached.
   void send(std::uint32_t src, std::uint32_t dst,
             const std::vector<p4::Packet>& packets, sim::Time earliest);
 
-  using PutCompleteFn = std::function<void(sim::Time when, bool ok)>;
-
-  /// Reliable put across the fabric (see the lossy-path contract in the
-  /// header comment). `plan` must be active(); inert plans should use
-  /// send().
+  /// Reliable put across the fabric (see "Reliability" above). Throws
+  /// std::invalid_argument on the endpoint misuse send() rejects, on
+  /// empty `packets` and on an inert `plan` — inert plans use send().
   void send_reliable(std::uint32_t src, std::uint32_t dst,
                      const std::vector<p4::Packet>& packets,
                      sim::Time earliest, const sim::faults::FaultPlan& plan,
                      const p4::RetransmitConfig& rc = {},
-                     PutCompleteFn on_complete = {});
+                     p4::PutCompleteFn on_complete = {});
 
  private:
   struct Port {
@@ -112,7 +109,10 @@ class Fabric {
     std::deque<sim::Time> occupants;
   };
 
-  struct Transfer;  // reliable-put state machine (fabric.cpp)
+  struct Transfer;  // the Fabric's p4::ReliablePut carrier (fabric.cpp)
+
+  /// The attached NIC of `dst`, after checking the src -> dst pair.
+  spin::NicModel& endpoint(std::uint32_t src, std::uint32_t dst) const;
 
   /// Serialize one packet through port `p` no earlier than `at`,
   /// honoring the finite FIFO; returns the time its last byte left the
@@ -123,29 +123,10 @@ class Fabric {
   void forward(const p4::Packet* pkt, const std::vector<std::uint32_t>* route,
                std::uint32_t hop, sim::Time now, spin::NicModel* dst);
 
-  /// Reliable-path forwarding of one in-flight copy: a dropped attempt
-  /// vanishes at ejection (after consuming every hop's bandwidth);
-  /// `skew` is the fault plan's reorder/duplicate delay, applied at
-  /// ejection. Delivery schedules the ack. Returns the time the copy's
-  /// last byte leaves the `hop` port — the retransmit timer of the
-  /// initial hop starts there, so injection-queue wait (unbounded under
-  /// open-loop load) never eats the timeout budget.
-  sim::Time forward_reliable(const std::shared_ptr<Transfer>& xfer,
-                             const p4::Packet* copy, std::uint64_t idx,
-                             std::uint32_t hop, sim::Time now, bool drop,
-                             sim::Time skew);
-
   /// Cached oblivious route (stable storage — forwarding events hold
   /// pointers into the cache).
   const std::vector<std::uint32_t>& route_for(std::uint32_t src,
                                               std::uint32_t dst);
-
-  static void transmit(const std::shared_ptr<Transfer>& self,
-                       std::uint64_t idx, std::uint32_t attempt,
-                       sim::Time at);
-  static void on_ack(const std::shared_ptr<Transfer>& self,
-                     std::uint64_t idx);
-  static void fail(const std::shared_ptr<Transfer>& self);
 
   sim::Engine* engine_;
   FabricConfig config_;

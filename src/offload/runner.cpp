@@ -267,9 +267,8 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   if (fault_plan.active()) {
     link.send_reliable(packets, 0, fault_plan, config.retransmit,
                        [&put_ok](sim::Time, bool ok) { put_ok = ok; });
-  } else if (config.ooo_window > 1) {
-    link.send_shuffled(packets, 0, config.ooo_window, config.seed);
   } else {
+    p4::shuffle_payload(packets, config.ooo_window, config.seed);
     link.send(packets, 0);
   }
   engine.run();

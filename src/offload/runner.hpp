@@ -43,12 +43,14 @@ struct ReceiveConfig {
   double epsilon = 0.2;  // RW/RO-CP scheduling-overhead budget
   std::uint64_t pkt_buffer_bytes = 512ull << 10;
   /// Reorder payload packets within windows of this many slots (0 = in
-  /// order). Exercises segment resets / checkpoint rollback.
+  /// order; p4::shuffle_payload). Exercises segment resets / checkpoint
+  /// rollback.
   std::uint32_t ooo_window = 0;
   std::uint64_t seed = 1;
   /// Wire fault injection (drop/dup/reorder rates + fault seed). When
-  /// active() the message goes through the reliable transport
-  /// (spin::Link::send_reliable) and `ooo_window` is ignored; when inert
+  /// active() the message goes through the reliable-put protocol
+  /// (p4::ReliablePut, carried by spin::Link::send_reliable) and
+  /// `ooo_window` is ignored; when inert
   /// (all rates zero, the default) the run is byte-identical to a build
   /// without the fault layer.
   sim::faults::FaultConfig faults{};

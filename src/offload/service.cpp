@@ -176,7 +176,7 @@ void ServiceState::admit(std::uint64_t key) {
   if (plan.active()) {
     rec.packets = std::make_unique<std::vector<p4::Packet>>(
         p4::packetize(key, key, packed, config->cost.pkt_payload));
-    link->send_reliable_queued(
+    link->send_reliable(
         *rec.packets, engine->now(), plan, config->retransmit,
         [this, key](sim::Time, bool ok) {
           if (!ok) on_put_failed(key);
@@ -184,7 +184,7 @@ void ServiceState::admit(std::uint64_t key) {
   } else {
     const auto packets =
         p4::packetize(key, key, packed, config->cost.pkt_payload);
-    link->send_queued(packets, engine->now());
+    link->send(packets, engine->now());
   }
 
   inflight += 1;

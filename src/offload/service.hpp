@@ -5,8 +5,8 @@
 //
 // Where run_receive() measures a single message in isolation, this
 // driver measures the NIC *as a service*: tenants post receives on
-// their own clocks, messages queue at the sender's shared injection
-// port (spin::Link::send_queued), handler state competes for HPUs and
+// their own clocks, messages queue behind the sender link's one wire
+// clock (spin::Link::send), handler state competes for HPUs and
 // NIC memory, and the interesting outputs are sustained goodput,
 // per-tenant fairness (Jain's index), and completion-time tails.
 //
@@ -75,8 +75,8 @@ struct ServiceConfig {
   /// of thousands of messages would dominate the run.
   std::uint64_t verify_every = 16;
   /// Wire fault injection. When active(), every message goes through
-  /// the reliable transport on the *shared* injection port
-  /// (spin::Link::send_reliable_queued), so drops, duplicates and
+  /// the reliable transport on the same link and wire clock
+  /// (spin::Link::send_reliable), so drops, duplicates and
   /// reorders compose with open-loop queueing; a put that exhausts its
   /// retries retires as `failed` and frees its admission slot. Inert by
   /// default — the run is byte-identical to pre-fault behavior.

@@ -1,8 +1,13 @@
 #include "p4/put.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <utility>
+
+#include "sim/rng.hpp"
 
 namespace netddt::p4 {
 
@@ -49,6 +54,20 @@ std::vector<Packet> packetize(std::uint64_t msg_id, std::uint64_t match_bits,
     packets.push_back(pkt);
   }
   return packets;
+}
+
+void shuffle_payload(std::vector<Packet>& packets, std::uint32_t window,
+                     std::uint64_t seed) {
+  if (packets.size() <= 2 || window <= 1) return;
+  sim::Rng rng(seed);
+  const std::size_t lo = 1, hi = packets.size() - 1;
+  for (std::size_t w = lo; w < hi; w += window) {
+    const std::size_t end = std::min<std::size_t>(w + window, hi);
+    for (std::size_t i = end - 1; i > w; --i) {
+      const std::size_t j = w + rng.below(i - w + 1);
+      std::swap(packets[i], packets[j]);
+    }
+  }
 }
 
 std::vector<Packet> packetize_empty(std::uint64_t msg_id,
@@ -110,6 +129,101 @@ std::vector<Packet> StreamingPut::stream(std::span<const std::byte> chunk,
     out.push_back(pkt);
   }
   return out;
+}
+
+// --- The reliable-put protocol ---------------------------------------------
+
+ReliablePut::ReliablePut(sim::Engine& engine,
+                         const std::vector<Packet>& packets,
+                         const sim::faults::FaultPlan& plan,
+                         const RetransmitConfig& rc,
+                         sim::Time derived_timeout, sim::Time ack_latency,
+                         Counters counters, PutCompleteFn on_complete)
+    : engine_(&engine),
+      packets_(&packets),
+      plan_(plan),
+      rc_(rc),
+      base_timeout_(rc.timeout > 0 ? rc.timeout : derived_timeout),
+      ack_latency_(ack_latency),
+      counters_(counters),
+      on_complete_(std::move(on_complete)),
+      state_(packets.size()) {
+  if (packets.empty()) {
+    throw std::invalid_argument("reliable put: no packets");
+  }
+  if (!plan.active()) {
+    throw std::invalid_argument(
+        "reliable put: inert fault plan (use the lossless send)");
+  }
+}
+
+void ReliablePut::start(const std::shared_ptr<ReliablePut>& self,
+                        sim::Time at) {
+  const std::size_t n = self->packets_->size();
+  if (n == 1) {
+    // Single-packet put: the lone packet is both data and completion.
+    self->completion_sent_ = true;
+    transmit(self, 0, 0, at);
+    return;
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) transmit(self, i, 0, at);
+}
+
+void ReliablePut::transmit(const std::shared_ptr<ReliablePut>& self,
+                           std::uint64_t idx, std::uint32_t attempt,
+                           sim::Time at) {
+  ReliablePut& p = *self;
+  p.state_.record_attempt(static_cast<std::size_t>(idx));
+  const sim::faults::FaultDecision d = p.plan_.decide(idx, attempt);
+  const sim::Time timeout = p.rc_.timeout_for(attempt, p.base_timeout_);
+  const sim::Time timer_start =
+      p.send_attempt(self, idx, attempt, at, d, timeout);
+  // Armed after the attempt's deliveries are scheduled: same-time events
+  // run in insertion order, so this order is part of the output.
+  p.engine_->schedule_at(timer_start + timeout, [self, idx, attempt] {
+    ReliablePut& q = *self;
+    if (q.done_ || q.state_.acked(static_cast<std::size_t>(idx))) return;
+    if (attempt + 1 > q.rc_.max_retries) {
+      fail(self);
+      return;
+    }
+    q.counters_.retransmits->add(1);
+    transmit(self, idx, attempt + 1, q.engine_->now());
+  });
+}
+
+void ReliablePut::acknowledge(const std::shared_ptr<ReliablePut>& self,
+                              std::uint64_t idx) {
+  self->engine_->schedule(self->ack_latency_,
+                          [self, idx] { on_ack(self, idx); });
+}
+
+void ReliablePut::on_ack(const std::shared_ptr<ReliablePut>& self,
+                         std::uint64_t idx) {
+  ReliablePut& p = *self;
+  p.counters_.acks->add(1);
+  if (p.done_ || !p.state_.mark_acked(static_cast<std::size_t>(idx))) return;
+  const std::uint64_t last = p.packets_->size() - 1;
+  if (idx == last) {
+    // Completion packet acked: the put is complete.
+    p.done_ = true;
+    p.on_put_complete();
+    if (p.on_complete_) p.on_complete_(p.engine_->now(), true);
+    return;
+  }
+  if (!p.completion_sent_ && p.state_.data_acked()) {
+    // Every data packet acked: release the held-back completion packet.
+    p.completion_sent_ = true;
+    transmit(self, last, 0, p.engine_->now());
+  }
+}
+
+void ReliablePut::fail(const std::shared_ptr<ReliablePut>& self) {
+  ReliablePut& p = *self;
+  p.done_ = true;
+  p.state_.mark_failed();
+  p.counters_.failures->add(1);
+  if (p.on_complete_) p.on_complete_(p.engine_->now(), false);
 }
 
 }  // namespace netddt::p4

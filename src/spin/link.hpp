@@ -1,41 +1,47 @@
 #pragma once
-// Network link: serializes a message's packets onto the wire at line
-// rate and delivers them to the target NIC after the network latency.
+// Network link: one sender port that serializes packets onto the wire
+// at line rate and delivers them to the target NIC one network latency
+// after their last byte.
 //
-// Contract (lossless paths — send / send_paced / send_shuffled): the
-// header packet arrives first and the completion packet last; payload
-// packets in between may be reordered (send_shuffled) to exercise the
-// out-of-order paths of the offload strategies (segment resets, RW-CP
-// checkpoint rollback). Exactly-once delivery; the caller must keep the
-// packet data alive until the simulation drains.
+// One wire clock: every send — lossless or reliable, first transmission
+// or retransmission — serializes behind the link's single persistent
+// clock (busy-until time plus the fractional-ps carry of
+// sim::SerializationClock). Messages sent on one Link therefore queue
+// at the sender, and arrivals that outpace the line rate make the wire
+// the bottleneck (the open-loop service model). Concurrent senders on
+// separate ports are separate Links.
 //
-// Contract (lossy path — send_reliable): transmissions pass through a
-// seeded sim::faults::FaultPlan that can drop, duplicate or skew each
-// attempt. The sender runs a per-packet ack/retransmit protocol
-// (exponential backoff, capped retries; see p4::RetransmitConfig) and
-// holds the completion packet back until every other packet is acked,
-// so the NIC's completion-last invariant survives any fault schedule.
-// Delivery becomes at-least-once: retransmitted and duplicated copies
-// reach NicModel::deliver with Packet::retransmit / Packet::dup set.
-// Acks travel on a lossless return channel (one net_latency); a packet
-// in flight is never retransmitted spuriously because the derived
-// default timeout exceeds one round trip plus the worst-case reorder
-// skew. Reliability metrics ("p4.retransmits", "p4.pkts_dropped",
-// "p4.acks", "p4.dup_deliveries", "p4.put_failures", "link.wire_bytes",
-// "link.reorder_depth") are registered in the target NIC's registry
-// lazily — a binary that never sends reliably publishes none of them.
+// Lossless path (send): exactly-once, in the order given. The header
+// packet should come first and the completion packet last; callers may
+// reorder the payload packets in between (p4::shuffle_payload) to
+// exercise the out-of-order paths of the offload strategies.
+//
+// Lossy path (send_reliable): the Link is one carrier of the
+// reliable-put protocol (p4::ReliablePut: acks, backoff, retry cap,
+// held-back completion packet). The Link's own part: a fault drop is
+// decided at departure (the attempt occupies the wire, then vanishes);
+// a duplicate is a second delivery of the same serialization, skewed by
+// the plan; the retransmit timer starts at departure; the derived base
+// timeout is one round trip (serialization + two network latencies)
+// plus the worst-case reorder skew of packet and ack, so an undropped
+// attempt is acked before its timer fires; acks return on a lossless
+// channel in one network latency. Delivery is at-least-once:
+// retransmitted and duplicated copies reach NicModel::deliver with
+// Packet::retransmit / Packet::dup set. Reliability metrics
+// ("p4.retransmits", "p4.pkts_dropped", "p4.acks", "p4.dup_deliveries",
+// "p4.put_failures", "link.wire_bytes", "link.reorder_depth") are
+// registered in the target NIC's registry on the first reliable send —
+// a binary that never sends reliably publishes none of them.
 // All times are sim::Time picoseconds.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "p4/packet.hpp"
 #include "p4/put.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults/faults.hpp"
-#include "sim/rng.hpp"
 #include "spin/cost_model.hpp"
 #include "spin/nic.hpp"
 
@@ -46,97 +52,46 @@ class Link {
   Link(sim::Engine& engine, NicModel& target, const CostModel& cost)
       : engine_(&engine), target_(&target), cost_(&cost) {}
 
-  /// Inject `packets` (wire order) starting at absolute time `start`.
-  /// Packet i departs when the link is free and arrives one network
-  /// latency after its last byte is on the wire. The caller must keep
-  /// the packet data alive until the simulation drains. Returns the
-  /// arrival time of the last packet.
-  sim::Time send(const std::vector<p4::Packet>& packets, sim::Time start);
+  /// Inject `packets` in the given order. Packet i departs when the wire
+  /// is free, no earlier than `earliest` and, when `ready` is given, no
+  /// earlier than `ready[i]` (streaming puts / outbound-sPIN pacing,
+  /// where the sender produces packets as regions are discovered). It
+  /// arrives one network latency after its last byte is on the wire.
+  /// The caller keeps the packet data alive until the simulation
+  /// drains. Returns the arrival time of the last packet. Throws
+  /// std::invalid_argument when `ready` is neither empty nor one time
+  /// per packet.
+  sim::Time send(std::span<const p4::Packet> packets, sim::Time earliest,
+                 std::span<const sim::Time> ready = {});
 
-  /// Same, but packet i additionally waits for `ready[i]` before
-  /// departing (models streaming puts / outbound-sPIN pacing, where the
-  /// sender produces packets as regions are discovered).
-  sim::Time send_paced(const std::vector<p4::Packet>& packets,
-                       const std::vector<sim::Time>& ready,
-                       sim::Time start);
+  /// Reliable put of `packets` through the fault plan, departing no
+  /// earlier than `earliest` (see the lossy-path contract above). The
+  /// caller keeps `packets` and their data alive until the simulation
+  /// drains. Throws std::invalid_argument when `packets` is empty or
+  /// `plan` is inert — inert plans use send(), the cheaper lossless
+  /// path.
+  void send_reliable(const std::vector<p4::Packet>& packets,
+                     sim::Time earliest, const sim::faults::FaultPlan& plan,
+                     const p4::RetransmitConfig& rc = {},
+                     p4::PutCompleteFn on_complete = {});
 
-  /// Deliver with payload packets shuffled within a reordering window of
-  /// `window` slots (header stays first, completion stays last).
-  sim::Time send_shuffled(const std::vector<p4::Packet>& packets,
-                          sim::Time start, std::uint32_t window,
-                          std::uint64_t seed);
-
-  /// Inject `packets` through the link's *shared* injection port: unlike
-  /// send(), whose per-call wire clock models concurrent senders on
-  /// separate ports, send_queued serializes all queued sends behind one
-  /// persistent clock — a message departs no earlier than `earliest` and
-  /// no earlier than the last byte of every previously queued message.
-  /// This is the open-loop service model: arrivals that outpace the line
-  /// rate queue at the sender and the wire becomes the bottleneck.
-  /// Returns the arrival time of the last packet.
-  sim::Time send_queued(const std::vector<p4::Packet>& packets,
-                        sim::Time earliest);
-
-  /// The shared injection port's busy-until time (send_queued only).
+  /// The wire clock's busy-until time.
   sim::Time port_free() const { return port_free_; }
 
-  /// Completion notification of a reliable put: fires once, either when
-  /// the completion packet is acked (`ok`) or when a packet exhausts its
-  /// retries (`!ok`; the message will never complete at the receiver).
-  using PutCompleteFn = std::function<void(sim::Time when, bool ok)>;
-
-  /// Send `packets` through the fault plan with sender-side reliability
-  /// (see the lossy-path contract above). `plan` must be active();
-  /// callers with an inert plan should use send() — the lossless path is
-  /// cheaper and byte-identical to pre-fault-layer behavior. As with
-  /// send(), the caller keeps `packets` and their data alive until the
-  /// simulation drains.
-  void send_reliable(const std::vector<p4::Packet>& packets, sim::Time start,
-                     const sim::faults::FaultPlan& plan,
-                     const p4::RetransmitConfig& rc = {},
-                     PutCompleteFn on_complete = {});
-
-  /// send_reliable through the *shared* injection port (see send_queued):
-  /// transmissions and retransmissions of every queued reliable transfer
-  /// serialize behind one persistent wire clock, so the open-loop
-  /// service model composes with fault injection. Departure is no
-  /// earlier than `earliest`.
-  void send_reliable_queued(const std::vector<p4::Packet>& packets,
-                            sim::Time earliest,
-                            const sim::faults::FaultPlan& plan,
-                            const p4::RetransmitConfig& rc = {},
-                            PutCompleteFn on_complete = {});
-
  private:
-  struct ReliableTransfer;
+  struct ReliableTransfer;  // the Link's p4::ReliablePut carrier
 
-  void start_reliable(const std::vector<p4::Packet>& packets, sim::Time start,
-                      const sim::faults::FaultPlan& plan,
-                      const p4::RetransmitConfig& rc,
-                      PutCompleteFn on_complete, bool shared_port);
-
-  static void transmit(const std::shared_ptr<ReliableTransfer>& self,
-                       std::uint64_t idx, std::uint32_t attempt,
-                       sim::Time at);
-  static void schedule_delivery(const std::shared_ptr<ReliableTransfer>& self,
-                                std::uint64_t idx, std::uint32_t attempt,
-                                sim::Time arrival, bool is_dup);
-  static void on_ack(const std::shared_ptr<ReliableTransfer>& self,
-                     std::uint64_t idx);
-  static void fail(const std::shared_ptr<ReliableTransfer>& self);
-
-  sim::Time deliver_in_order(const std::vector<const p4::Packet*>& order,
-                             const std::vector<sim::Time>& ready,
-                             sim::Time start);
+  /// Serialize a `bytes`-byte packet on the wire no earlier than `at`;
+  /// returns its departure time (its last byte leaves at port_free_).
+  sim::Time occupy(std::uint32_t bytes, sim::Time at);
 
   sim::Engine* engine_;
   NicModel* target_;
   const CostModel* cost_;
-  sim::Time port_free_ = 0;  // shared injection-port clock (send_queued)
-  // Fractional-ps serialization carry of the shared port, so N queued
-  // packets occupy exactly the whole-message wire time (sim::
-  // SerializationClock); per-call paths carry their own clock.
-  sim::SerializationClock port_clock_;
+  sim::Time port_free_ = 0;
+  // Fractional-ps serialization carry, so N packets occupy exactly the
+  // whole-message wire time (sim::SerializationClock).
+  sim::SerializationClock clock_;
 };
 
 }  // namespace netddt::spin

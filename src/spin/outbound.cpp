@@ -1,7 +1,5 @@
 #include "spin/outbound.hpp"
 
-#include <cassert>
-
 namespace netddt::spin {
 
 void OutboundEngine::process_put(std::uint64_t msg_id,
@@ -38,16 +36,10 @@ void OutboundEngine::process_put(std::uint64_t msg_id,
 void OutboundEngine::mark_ready(Put& put, std::size_t index) {
   put.ready[index] = true;
   // Streaming-put semantics: the target must see ONE in-order message,
-  // so packet i departs only after packets 0..i-1, paced at line rate.
+  // so packet i departs only after packets 0..i-1.
   while (put.next_to_send < put.packets.size() &&
          put.ready[put.next_to_send]) {
-    const p4::Packet& pkt = put.packets[put.next_to_send];
-    const sim::Time depart = std::max(engine_->now(), put.link_free);
-    const sim::Time on_wire = cost_.wire_time(
-        std::max<std::uint64_t>(pkt.payload_bytes, 1));
-    put.link_free = depart + on_wire;
-    engine_->schedule_at(put.link_free + cost_.net_latency,
-                         [nic = target_, pkt] { nic->deliver(pkt); });
+    link_.send({&put.packets[put.next_to_send], 1}, engine_->now());
     ++put.next_to_send;
   }
 }

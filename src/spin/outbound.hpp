@@ -6,7 +6,8 @@
 // handler gathers the packet's payload from host memory (the outbound
 // engine "does not fill the packet with data but delegates this task to
 // the packet handler") and the packet departs as part of ONE streaming
-// put the moment it is ready — in message order, paced at line rate.
+// put the moment it is ready — in message order, through the engine's
+// Link (one wire clock, paced at line rate, shared by all its puts).
 
 #include <cstdint>
 #include <functional>
@@ -18,6 +19,7 @@
 #include "spin/cost_model.hpp"
 #include "p4/put.hpp"
 #include "spin/handler.hpp"
+#include "spin/link.hpp"
 #include "spin/nic.hpp"
 #include "spin/scheduler.hpp"
 
@@ -39,7 +41,7 @@ class OutboundEngine {
       : engine_(&engine),
         cost_(cost),
         scheduler_(engine, hpus, cost_),
-        target_(&target) {}
+        link_(engine, target, cost_) {}
 
   /// Issue a PtlProcessPut of `total_bytes` (the packed size of the
   /// datatype): per-packet HERs run `gather` under `policy`; packets
@@ -63,7 +65,6 @@ class OutboundEngine {
     std::vector<p4::Packet> packets;
     std::vector<bool> ready;
     std::size_t next_to_send = 0;
-    sim::Time link_free = 0;
     GatherFn gather;
   };
 
@@ -72,7 +73,7 @@ class OutboundEngine {
   sim::Engine* engine_;
   CostModel cost_;
   Scheduler scheduler_;
-  NicModel* target_;
+  Link link_;  // holds &cost_: the engine is neither copied nor moved
   std::vector<std::unique_ptr<Put>> puts_;
 };
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "fabric/collectives.hpp"
@@ -84,6 +85,38 @@ TEST(Topology, DragonflyRoutesAreWellFormed) {
       EXPECT_LE(route.size(), 5u);
     }
   }
+}
+
+TEST(Fabric, MisuseThrows) {
+  sim::Engine engine;
+  FabricConfig fc;
+  fc.topology = small_fat_tree(4);
+  Fabric fab(engine, fc);
+  spin::Host host(1 << 16);
+  spin::NicModel nic(engine, host, fc.cost);
+  EXPECT_THROW(fab.attach(4, nic), std::invalid_argument);
+  fab.attach(1, nic);
+
+  std::vector<std::byte> data(3 * 2048);
+  const auto pkts = p4::packetize(1, 1, data);
+  EXPECT_THROW(fab.send(1, 1, pkts, 0), std::invalid_argument);  // src == dst
+  EXPECT_THROW(fab.send(4, 1, pkts, 0), std::invalid_argument);  // src range
+  EXPECT_THROW(fab.send(0, 9, pkts, 0), std::invalid_argument);  // dst range
+  EXPECT_THROW(fab.send(0, 2, pkts, 0), std::invalid_argument);  // unattached
+
+  sim::faults::FaultConfig lossy;
+  lossy.drop_rate = 0.1;
+  const sim::faults::FaultPlan plan(lossy, 1);
+  EXPECT_THROW(fab.send_reliable(1, 1, pkts, 0, plan), std::invalid_argument);
+  EXPECT_THROW(fab.send_reliable(0, 9, pkts, 0, plan), std::invalid_argument);
+  EXPECT_THROW(fab.send_reliable(0, 2, pkts, 0, plan), std::invalid_argument);
+  const std::vector<p4::Packet> none;
+  EXPECT_THROW(fab.send_reliable(0, 1, none, 0, plan), std::invalid_argument);
+  EXPECT_THROW(fab.send_reliable(0, 1, pkts, 0, sim::faults::FaultPlan({}, 1)),
+               std::invalid_argument);
+  // Nothing was injected.
+  EXPECT_TRUE(engine.empty());
+  EXPECT_EQ(fab.metrics().snapshot().counter("fabric.pkts"), 0u);
 }
 
 CollectiveConfig base_config(CollectiveKind kind) {

@@ -1,19 +1,17 @@
 // Fault-injection layer tests: determinism of the fault schedule,
-// sender-side reliability bookkeeping, and the end-to-end guarantee that
+// sender-side reliability bookkeeping (ReliablePutState,
+// RetransmitConfig), and the end-to-end guarantee that
 // every unpack strategy reconstructs a byte-identical receive buffer
 // under drops, duplicates and reorder.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "ddt/datatype.hpp"
 #include "offload/runner.hpp"
 #include "p4/put.hpp"
 #include "sim/faults/faults.hpp"
-#include "spin/link.hpp"
-#include "spin/nic.hpp"
 
 namespace netddt {
 namespace {
@@ -140,87 +138,8 @@ TEST(RetransmitConfig, ExponentialBackoff) {
   EXPECT_GT(rc.timeout_for(100, 1000), 0);
 }
 
-// --- Reliable transport over a direct Link ------------------------------
-
-TEST(ReliableLink, RetryExhaustionFailsThePut) {
-  sim::Engine engine;
-  spin::Host host(1 << 20);
-  spin::NicModel nic(engine, host);
-  spin::Link link(engine, nic, nic.cost());
-
-  std::vector<std::byte> data(8192, std::byte{0x5a});
-  const auto packets = p4::packetize(1, 0x5197, data);
-
-  FaultConfig fc;
-  fc.drop_rate = 1.0;  // black hole
-  fc.seed = 5;
-  p4::RetransmitConfig rc;
-  rc.max_retries = 2;
-
-  bool completed = false, ok = true;
-  link.send_reliable(packets, 0, FaultPlan(fc, 1), rc,
-                     [&](sim::Time, bool o) {
-                       completed = true;
-                       ok = o;
-                     });
-  engine.run();
-
-  EXPECT_TRUE(completed);
-  EXPECT_FALSE(ok);
-  const auto snap = nic.metrics().snapshot();
-  EXPECT_EQ(snap.counter("p4.put_failures"), 1u);
-  EXPECT_EQ(snap.counter("p4.acks"), 0u);
-  // Every attempt of every data packet was dropped; the completion
-  // packet was never released.
-  EXPECT_EQ(snap.counter("p4.pkts_dropped"),
-            (packets.size() - 1) * (rc.max_retries + 1));
-  EXPECT_EQ(snap.counter("nic.pkts.delivered"), 0u);
-}
-
-TEST(ReliableLink, CompletesAndReportsRetransmits) {
-  sim::Engine engine;
-  spin::Host host(1 << 20);
-  spin::NicModel nic(engine, host);
-  spin::Link link(engine, nic, nic.cost());
-
-  p4::MatchEntry me;
-  me.match_bits = 0x5197;
-  me.buffer_offset = 0;
-  me.length = 1 << 20;
-  nic.match_list().append(p4::ListKind::kPriority, me);
-
-  std::vector<std::byte> data(512 * 1024);  // 256 packets: drops certain
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::byte>(i * 31 + 7);
-  }
-  const auto packets = p4::packetize(1, me.match_bits, data);
-
-  bool completed = false, ok = false;
-  sim::Time when = 0;
-  link.send_reliable(packets, 0, FaultPlan(lossy_config(11), 1), {},
-                     [&](sim::Time t, bool o) {
-                       completed = true;
-                       ok = o;
-                       when = t;
-                     });
-  engine.run();
-
-  ASSERT_TRUE(completed);
-  EXPECT_TRUE(ok);
-  EXPECT_GT(when, 0);
-  const auto* info = nic.info(1);
-  ASSERT_NE(info, nullptr);
-  EXPECT_TRUE(info->done);
-  // Unique-packet accounting survives duplicates and retransmits.
-  EXPECT_EQ(info->bytes, data.size());
-  EXPECT_EQ(info->packets, packets.size());
-  // The RDMA path landed the exact bytes despite the faults.
-  EXPECT_EQ(std::memcmp(host.memory().data(), data.data(), data.size()), 0);
-  const auto snap = nic.metrics().snapshot();
-  EXPECT_GT(snap.counter("p4.pkts_dropped"), 0u);
-  EXPECT_EQ(snap.counter("p4.pkts_dropped"), snap.counter("p4.retransmits"));
-  EXPECT_EQ(snap.counter("p4.put_failures"), 0u);
-}
+// The reliable-put protocol over both carriers (Link, Fabric) is
+// covered by test_reliable_put.cpp.
 
 // --- End-to-end: lossy receives must equal lossless ---------------------
 

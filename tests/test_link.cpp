@@ -1,12 +1,15 @@
 // Tests for the network link: line-rate pacing, paced (ready-gated)
-// sends, and the shuffle invariants (header first, completion last,
-// permutation only within windows).
+// sends, the one wire clock every send shares, the shuffle invariants of
+// p4::shuffle_payload (header first, completion last, permutation only
+// within windows) and release-build misuse errors.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "p4/put.hpp"
+#include "sim/faults/faults.hpp"
 #include "sim/engine.hpp"
 #include "spin/link.hpp"
 #include "spin/nic.hpp"
@@ -41,6 +44,13 @@ struct World {
   Link link;
   std::vector<std::byte> data;
   std::vector<std::pair<sim::Time, std::uint64_t>> arrivals;
+
+  /// Send this world's 8-packet message with its payload shuffled.
+  void send_shuffled(std::uint32_t window, std::uint64_t seed) {
+    auto pkts = p4::packetize(1, 1, data);
+    p4::shuffle_payload(pkts, window, seed);
+    link.send(pkts, 0);
+  }
 };
 
 class LinkFixture : public ::testing::Test {
@@ -85,7 +95,7 @@ TEST_F(LinkFixture, PacedSendWaitsForReadyTimes) {
   auto pkts = p4::packetize(1, 1, data);
   std::vector<sim::Time> ready(pkts.size(), 0);
   ready[3] = sim::us(50);  // packet 3 held back; later ones queue behind
-  link.send_paced(pkts, ready, 0);
+  link.send(pkts, 0, ready);
   eng.run();
   ASSERT_EQ(arrivals.size(), 8u);
   EXPECT_LT(arrivals[2].first, sim::us(10));
@@ -94,7 +104,7 @@ TEST_F(LinkFixture, PacedSendWaitsForReadyTimes) {
 }
 
 TEST_F(LinkFixture, ShuffleKeepsEndpointsAndPermutesMiddle) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 4, /*seed=*/3);
+  world.send_shuffled(4, /*seed=*/3);
   eng.run();
   ASSERT_EQ(arrivals.size(), 8u);
   EXPECT_EQ(arrivals.front().second, 0u);
@@ -107,7 +117,7 @@ TEST_F(LinkFixture, ShuffleKeepsEndpointsAndPermutesMiddle) {
 }
 
 TEST_F(LinkFixture, ShuffleWindowBoundsDisplacement) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 3, /*seed=*/9);
+  world.send_shuffled(3, /*seed=*/9);
   eng.run();
   // A packet shuffled within windows of 3 slots lands at most 2 slots
   // from its in-order position.
@@ -121,13 +131,13 @@ TEST_F(LinkFixture, ShuffleWindowBoundsDisplacement) {
 }
 
 TEST_F(LinkFixture, ShuffleDeterministicPerSeed) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 4, 7);
+  world.send_shuffled(4, 7);
   eng.run();
   auto first = arrivals;
   arrivals.clear();
 
   World other;
-  other.link.send_shuffled(p4::packetize(1, 1, other.data), 0, 4, 7);
+  other.send_shuffled(4, 7);
   other.eng.run();
   ASSERT_EQ(first.size(), other.arrivals.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -136,11 +146,52 @@ TEST_F(LinkFixture, ShuffleDeterministicPerSeed) {
 }
 
 TEST_F(LinkFixture, WindowOfOneIsInOrder) {
-  link.send_shuffled(p4::packetize(1, 1, data), 0, 1, 7);
+  world.send_shuffled(1, 7);
   eng.run();
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i].second, i * 2048);
   }
+}
+
+TEST_F(LinkFixture, SendsQueueBehindOneWireClock) {
+  // Two messages offered at t = 0 on one Link share its wire: the
+  // second departs behind the first one's last byte.
+  const auto a = p4::packetize(1, 1, data);
+  const auto b = p4::packetize(2, 1, data);
+  const sim::Time first = link.send(a, 0);
+  EXPECT_EQ(link.port_free(), first - nic.cost().net_latency);
+  const sim::Time second = link.send(b, 0);
+  EXPECT_EQ(second - first,
+            static_cast<sim::Time>(b.size()) * nic.cost().pkt_interval());
+  eng.run();
+  EXPECT_EQ(arrivals.size(), a.size() + b.size());
+  EXPECT_TRUE(nic.info(1)->done);
+  EXPECT_TRUE(nic.info(2)->done);
+}
+
+TEST(Link, MisuseThrows) {
+  sim::Engine eng;
+  Host host(1 << 16);
+  NicModel nic(eng, host, CostModel{});
+  Link link(eng, nic, nic.cost());
+  std::vector<std::byte> data(3 * 2048);
+  const auto pkts = p4::packetize(1, 1, data);
+
+  // ready must be empty or hold one time per packet.
+  const std::vector<sim::Time> short_ready(pkts.size() - 1, 0);
+  EXPECT_THROW(link.send(pkts, 0, short_ready), std::invalid_argument);
+
+  sim::faults::FaultConfig lossy;
+  lossy.drop_rate = 0.1;
+  const std::vector<p4::Packet> none;
+  EXPECT_THROW(link.send_reliable(none, 0, sim::faults::FaultPlan(lossy, 1)),
+               std::invalid_argument);
+  // An inert plan belongs on the lossless send().
+  EXPECT_THROW(link.send_reliable(pkts, 0, sim::faults::FaultPlan({}, 1)),
+               std::invalid_argument);
+  // Nothing was sent.
+  EXPECT_EQ(link.port_free(), 0);
+  EXPECT_TRUE(eng.empty());
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Concurrent-message tests: several messages with different execution
 // contexts interleaved on one NIC must scatter independently and
 // correctly — vHPU state is per message, match entries bind per
-// message, and completion events fire per message.
+// message, and completion events fire per message. Interleaved messages
+// come from separate senders, i.e. separate Links into the one NIC (a
+// single Link serializes its messages behind one wire clock).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "dataloop/segment.hpp"
@@ -77,10 +80,32 @@ class MultiMsgFixture : public ::testing::Test {
     }
   }
 
+  /// Link of an extra sender `i` (>= 1) into the same NIC; sender 0 is
+  /// `link`.
+  spin::Link& sender(std::size_t i) {
+    while (senders_.size() < i) {
+      senders_.push_back(
+          std::make_unique<spin::Link>(eng, nic, nic.cost()));
+    }
+    return *senders_[i - 1];
+  }
+
+  /// Message `b` reached the NIC before message `a` was unpacked — in
+  /// fact before a's last packet: their packets interleaved.
+  void expect_overlap(std::uint64_t a, std::uint64_t b) {
+    ASSERT_NE(nic.info(a), nullptr);
+    ASSERT_NE(nic.info(b), nullptr);
+    EXPECT_LT(nic.info(b)->first_byte, nic.info(a)->unpack_done)
+        << "messages " << a << " and " << b << " did not overlap";
+    EXPECT_LT(nic.info(b)->first_byte, nic.info(a)->last_packet)
+        << "messages " << a << " and " << b << " did not interleave";
+  }
+
   sim::Engine eng;
   spin::Host host;
   spin::NicModel nic;
   spin::Link link;
+  std::vector<std::unique_ptr<spin::Link>> senders_;
   std::vector<std::unique_ptr<GeneralPlan>> plans_;
   std::vector<std::unique_ptr<SpecializedPlan>> spec_plans_;
 };
@@ -90,18 +115,19 @@ TEST_F(MultiMsgFixture, TwoGeneralMessagesInterleaved) {
                       1, 0, true);
   auto b = add_stream(Datatype::hvector(1024, 128, 512, Datatype::int8()),
                       2, 1 << 20, true);
-  // Interleave: both messages start at t=0 on separate "ports" (the
-  // link serializes, but packets of a and b alternate in arrival).
+  // Interleave: two senders on separate links, b offset by 40 ns, so
+  // packets of a and b alternate in arrival.
   auto pa = p4::packetize(101, 1, a.packed);
   auto pb = p4::packetize(102, 2, b.packed);
   link.send(pa, 0);
-  link.send(pb, sim::ns(40));  // offset start: packets interleave
+  sender(1).send(pb, sim::ns(40));
   eng.run();
 
   verify(a);
   verify(b);
   EXPECT_TRUE(nic.info(101)->done);
   EXPECT_TRUE(nic.info(102)->done);
+  expect_overlap(101, 102);
 }
 
 TEST_F(MultiMsgFixture, MixedStrategiesShareTheHpuPool) {
@@ -112,12 +138,14 @@ TEST_F(MultiMsgFixture, MixedStrategiesShareTheHpuPool) {
   auto c = add_stream(Datatype::hvector(512, 256, 512, Datatype::int8()),
                       3, 2 << 20, true);
   link.send(p4::packetize(201, 1, a.packed), 0);
-  link.send(p4::packetize(202, 2, b.packed), sim::ns(100));
-  link.send(p4::packetize(203, 3, c.packed), sim::ns(200));
+  sender(1).send(p4::packetize(202, 2, b.packed), sim::ns(100));
+  sender(2).send(p4::packetize(203, 3, c.packed), sim::ns(200));
   eng.run();
   verify(a);
   verify(b);
   verify(c);
+  expect_overlap(201, 202);
+  expect_overlap(202, 203);
 }
 
 TEST_F(MultiMsgFixture, SameTypeTwoMessagesIndependentState) {
@@ -127,10 +155,11 @@ TEST_F(MultiMsgFixture, SameTypeTwoMessagesIndependentState) {
   auto a = add_stream(type, 1, 0, true);
   auto b = add_stream(type, 2, 1 << 20, true);
   link.send(p4::packetize(301, 1, a.packed), 0);
-  link.send(p4::packetize(302, 2, b.packed), sim::ns(10));
+  sender(1).send(p4::packetize(302, 2, b.packed), sim::ns(10));
   eng.run();
   verify(a);
   verify(b);
+  expect_overlap(301, 302);
 }
 
 TEST_F(MultiMsgFixture, BackToBackMessagesReuseAPersistentEntry) {

@@ -483,7 +483,9 @@ TEST_F(NicFixture, ShuffledDeliveryKeepsHeaderFirstCompletionLast) {
   nic.match_list().append(p4::ListKind::kPriority, me);
 
   const auto data = pattern(2048 * 8);
-  link.send_shuffled(p4::packetize(5, 2, data), 0, 4, /*seed=*/99);
+  auto pkts = p4::packetize(5, 2, data);
+  p4::shuffle_payload(pkts, 4, /*seed=*/99);
+  link.send(pkts, 0);
   eng.run();
 
   ASSERT_EQ(arrival_offsets.size(), 8u);
