@@ -6,7 +6,8 @@
 // lambdas capture 40-60 B, so the baseline pays one malloc/free per
 // event. This benchmark measures the schedule+dispatch rate of both
 // engines on a self-rescheduling event chain whose capture size is
-// padded to 4 sizes spanning the inline buffer, and then audits the
+// padded to 4 sizes spanning the inline buffer, then the engine's lanes
+// against the plain heap on time-sorted producers, and then audits the
 // real receive models: every strategy must schedule zero heap-allocated
 // callbacks (the acceptance bar for the InlineCallback change).
 //
@@ -145,6 +146,48 @@ Cell measure(std::uint64_t events, int reps, std::uint32_t chains) {
   return c;
 }
 
+// Sorted producers: kLanes producers each keep kParked events posted
+// ahead in nondecreasing time order, the shape of a handler's DMA
+// writes or a tenant's pre-posted arrivals. Every dispatch appends one
+// event at its producer's tail. With lanes only the kLanes heads sit in
+// the heap; without, all kLanes * kParked events do.
+constexpr std::uint32_t kLanes = 16;
+constexpr std::uint32_t kParked = 256;
+
+struct Producer {
+  Engine* eng;
+  Engine::LaneId lane;
+  netddt::sim::Time* tail;
+  std::uint64_t* remaining;
+
+  void operator()() const {
+    if (*remaining == 0) return;
+    --*remaining;
+    *tail += kLanes;
+    eng->schedule_at(*tail, lane, Producer{*this});
+  }
+};
+
+double sorted_events_per_sec(std::uint64_t events, bool use_lanes) {
+  Engine eng;
+  std::uint64_t remaining = events;
+  std::array<netddt::sim::Time, kLanes> tails{};
+  for (std::uint32_t l = 0; l < kLanes; ++l) {
+    const Engine::LaneId lane = use_lanes ? eng.add_lane() : Engine::kNoLane;
+    for (std::uint32_t k = 0; k < kParked; ++k) {
+      tails[l] = static_cast<netddt::sim::Time>(k * kLanes + l);
+      eng.schedule_at(tails[l], lane,
+                      Producer{&eng, lane, &tails[l], &remaining});
+    }
+  }
+  const auto start = std::chrono::steady_clock::now();
+  eng.run();
+  const double sec =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return sec > 0 ? static_cast<double>(eng.executed()) / sec : 0.0;
+}
+
 // Audit the real models: run one receive per strategy and read back the
 // engine counters the runner publishes. The change's acceptance bar is
 // zero heap-allocated callbacks on every model path.
@@ -242,6 +285,22 @@ int main(int argc, char** argv) {
     const double geomean = std::exp(log_sum / std::size(cells));
     std::printf("  geomean speedup: %.2fx (acceptance bar: >= 1.20x)\n",
                 geomean);
+
+    // Wall-clock only, like the cells above: printed, never gated.
+    double heap_only = 0.0;
+    double laned = 0.0;
+    sorted_events_per_sec(events / 4, false);
+    sorted_events_per_sec(events / 4, true);
+    for (int r = 0; r < reps; ++r) {
+      heap_only = std::max(heap_only, sorted_events_per_sec(events, false));
+      laned = std::max(laned, sorted_events_per_sec(events, true));
+    }
+    std::printf("\nsorted producers (%u lanes x %u parked events)\n", kLanes,
+                kParked);
+    std::printf("  %-21s %16s %16s %10s\n", "", "all in heap", "lanes",
+                "speedup");
+    std::printf("  %-21s %13.2f M/s %13.2f M/s %9.2fx\n", "events/s",
+                heap_only / 1e6, laned / 1e6, laned / heap_only);
   }
 
   return audit_models();

@@ -368,14 +368,16 @@ ServiceRun run_service(const ServiceConfig& config) {
 
   // Precompute every tenant's arrival schedule (single-threaded, tenant
   // order) and post the arrival events; the rest of the run is driven
-  // by the DES and the NIC's completion callback.
+  // by the DES and the NIC's completion callback. A tenant's arrivals
+  // are monotone, so each tenant's arrivals wait in one engine lane.
   for (std::uint32_t t = 0; t < config.tenants.size(); ++t) {
     sim::ArrivalConfig ac = config.tenants[t].arrivals;
     ac.seed ^= config.seed;
     sim::ArrivalProcess arrivals(ac, /*stream=*/t);
+    const sim::Engine::LaneId lane = engine.add_lane();
     for (std::uint64_t seq = 0; seq < config.tenants[t].messages; ++seq) {
       const sim::Time at = arrivals.next();
-      engine.schedule_at(at, [state = &st, t, seq, at] {
+      engine.schedule_at(at, lane, [state = &st, t, seq, at] {
         state->on_arrival(t, seq, at);
       });
     }

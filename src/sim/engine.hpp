@@ -5,6 +5,19 @@
 // callback) triples ordered by time with FIFO tie-breaking, so two events
 // scheduled for the same instant fire in scheduling order. All NIC, PCIe
 // and host models in this repository are built on this engine.
+//
+// Lanes: a producer whose events come out in nondecreasing time order
+// (a handler's DMA writes, a tenant's pre-posted arrivals, a wire's
+// deliveries) may schedule them on a lane (add_lane). Only a lane's
+// oldest event sits in the binary heap; the rest are parked in a FIFO
+// beside it, and the next one enters the heap when the head is
+// dispatched. Every event still takes its (time, seq) key when
+// scheduled, and a parked event's key is greater than its lane head's,
+// so the heap minimum is always the global minimum: dispatch order is
+// exactly the order without lanes. An append earlier than the lane's
+// newest event goes straight into the heap instead, so a lane choice
+// can only cost speed, never change output. pending(), max_pending()
+// and the traced pending counter count parked events too.
 
 #include <algorithm>
 #include <array>
@@ -12,6 +25,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -32,10 +46,21 @@ using InlineCallback = InlineFunction<void(), 64>;
 class Engine {
  public:
   using Callback = InlineCallback;
+  /// Handle of a lane (add_lane); kNoLane schedules into the heap.
+  using LaneId = std::uint32_t;
+  static constexpr LaneId kNoLane = ~LaneId{0};
 
   Engine() {
     heap_.reserve(kInitialHeapCapacity);
     free_slots_.reserve(kInitialHeapCapacity);
+  }
+
+  /// Open a lane for a producer whose events are (mostly) scheduled in
+  /// nondecreasing time order. A lane is a fixed-size header; its
+  /// parked events are linked through a per-slot side array.
+  LaneId add_lane() {
+    lanes_.emplace_back();
+    return static_cast<LaneId>(lanes_.size() - 1);
   }
 
   /// Current simulated time.
@@ -48,10 +73,26 @@ class Engine {
     place(now_ + delay, std::move(fn));
   }
 
-  /// Schedule `fn` at absolute time `when` (>= now()).
+  /// Schedule `fn` at absolute time `when`. Throws
+  /// std::invalid_argument when `when` lies before now().
   void schedule_at(Time when, Callback fn) {
-    assert(when >= now_ && "cannot schedule an event in the past");
-    place(when, std::move(fn));
+    schedule_at(when, kNoLane, std::move(fn));
+  }
+
+  /// Same, on `lane` (kNoLane: straight into the heap). The event parks
+  /// behind the lane's newest event when `when` is not earlier than it,
+  /// and goes into the heap otherwise; either way it fires exactly when
+  /// it would have without the lane.
+  void schedule_at(Time when, LaneId lane, Callback fn) {
+    if (when < now_) {
+      throw std::invalid_argument(
+          "Engine::schedule_at: cannot schedule an event in the past");
+    }
+    if (lane == kNoLane) {
+      place(when, std::move(fn));
+    } else {
+      place_on_lane(when, lane, std::move(fn));
+    }
   }
 
   /// Run until the event queue drains. Returns the time of the last event.
@@ -87,8 +128,10 @@ class Engine {
   }
   trace::Tracer* tracer() const { return tracer_; }
 
+  // A lane's parked events imply its head is in the heap, so the heap
+  // alone tells emptiness.
   bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
+  std::size_t pending() const { return heap_.size() + parked_count_; }
   /// High-watermark of the pending-event queue over the engine's
   /// lifetime (exposed as the `sim.engine.queue_depth` gauge).
   std::size_t max_pending() const { return max_pending_; }
@@ -127,21 +170,26 @@ class Engine {
   }
 
  private:
-  // A run keeps a few events in flight per packet; 1024 slots cover the
-  // deepest queue the benchmark configs reach without any regrowth.
+  // Initial heap and free-list reservation. Model runs go deeper and
+  // grow the vectors: app_unpack peaks at ~8.7k pending events and
+  // svc_saturated averages ~9.9k, most of them parked in lanes.
   static constexpr std::size_t kInitialHeapCapacity = 1024;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  // Heap entries are 24-byte PODs; the callback itself is parked in a
+  // Heap entries are 24-byte PODs; the callback itself lives in a
   // chunked slab so push_heap/pop_heap shuffles never move callable
   // storage and dispatch invokes it in place (chunks never relocate). A
   // callback is copied exactly once after construction — into its slot.
   // Freed slots recycle through free_slots_, so steady state allocates
-  // nothing per event (bench/engine_perf measures this).
+  // nothing per event (bench/engine_perf measures this). `lane` is the
+  // lane whose head this event is, or kNoLane.
   struct Event {
     Time when;
     std::uint64_t seq;
     std::uint32_t slot;
+    LaneId lane;
   };
+  static_assert(sizeof(Event) == 24, "keep heap entries compact");
   static constexpr std::uint32_t kChunkShift = 8;  // 256 callbacks/chunk
   static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
   struct Later {
@@ -149,6 +197,22 @@ class Engine {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
+  };
+
+  // A lane's head is in the heap while `active`; the events parked
+  // behind it form a singly linked FIFO first..last through parked_.
+  // `tail` is the time of the lane's newest event.
+  struct Lane {
+    Time tail = 0;
+    std::uint32_t first = kNoSlot;
+    std::uint32_t last = kNoSlot;
+    bool active = false;
+  };
+  // Key and FIFO link of a parked event, indexed by its callback slot.
+  struct Parked {
+    Time when;
+    std::uint64_t seq;
+    std::uint32_t next;
   };
 
   static std::size_t size_bucket(const Callback& fn) {
@@ -162,7 +226,12 @@ class Engine {
     return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
 
-  void place(Time when, Callback&& fn) {
+  void enter_heap(const Event& ev) {
+    heap_.push_back(ev);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  std::uint32_t claim_slot(Callback&& fn) {
     if (fn.heap_allocated()) ++callback_heap_allocs_;
     ++size_hist_[size_bucket(fn)];
     std::uint32_t slot;
@@ -170,15 +239,60 @@ class Engine {
       slot = slot_count_++;
       if ((slot >> kChunkShift) == chunks_.size()) {
         chunks_.push_back(std::make_unique<Callback[]>(1u << kChunkShift));
+        parked_.resize(chunks_.size() << kChunkShift);
       }
     } else {
       slot = free_slots_.back();
       free_slots_.pop_back();
     }
     slot_ref(slot) = std::move(fn);
-    heap_.push_back(Event{when, next_seq_++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    max_pending_ = std::max(max_pending_, heap_.size());
+    return slot;
+  }
+
+  void place(Time when, Callback&& fn) {
+    const std::uint32_t slot = claim_slot(std::move(fn));
+    enter_heap(Event{when, next_seq_++, slot, kNoLane});
+    max_pending_ = std::max(max_pending_, pending());
+  }
+
+  void place_on_lane(Time when, LaneId lane, Callback&& fn) {
+    const std::uint32_t slot = claim_slot(std::move(fn));
+    const std::uint64_t seq = next_seq_++;
+    Lane& l = lanes_[lane];
+    if (!l.active) {
+      l.active = true;
+      l.tail = when;
+      enter_heap(Event{when, seq, slot, lane});
+    } else if (when >= l.tail) {
+      parked_[slot] = Parked{when, seq, kNoSlot};
+      if (l.last == kNoSlot) {
+        l.first = slot;
+      } else {
+        parked_[l.last].next = slot;
+      }
+      l.last = slot;
+      l.tail = when;
+      ++parked_count_;
+    } else {
+      enter_heap(Event{when, seq, slot, kNoLane});  // out of order
+    }
+    max_pending_ = std::max(max_pending_, pending());
+  }
+
+  // The head of `lane` was dispatched: its next parked event (if any)
+  // takes its place in the heap.
+  void advance(LaneId lane) {
+    Lane& l = lanes_[lane];
+    if (l.first == kNoSlot) {
+      l.active = false;
+      return;
+    }
+    const std::uint32_t slot = l.first;
+    const Parked& p = parked_[slot];
+    l.first = p.next;
+    if (l.first == kNoSlot) l.last = kNoSlot;
+    --parked_count_;
+    enter_heap(Event{p.when, p.seq, slot, lane});
   }
 
   void step() {
@@ -188,6 +302,7 @@ class Engine {
     assert(ev.when >= now_);
     now_ = ev.when;
     ++executed_;
+    if (ev.lane != kNoLane) advance(ev.lane);
     // Invoked in place: slab chunks never relocate, and the slot is only
     // released afterwards, so events the callback schedules cannot reuse
     // or move the running callable.
@@ -197,7 +312,7 @@ class Engine {
       fn();
       tracer_->end(engine_track_, "dispatch", now_);
       tracer_->counter(engine_track_, "pending", now_,
-                       static_cast<double>(heap_.size()));
+                       static_cast<double>(pending()));
     } else {
       fn();
     }
@@ -209,6 +324,9 @@ class Engine {
   std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
+  std::vector<Lane> lanes_;
+  std::vector<Parked> parked_;    // one per slab slot
+  std::size_t parked_count_ = 0;  // events parked behind a lane head
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

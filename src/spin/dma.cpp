@@ -11,7 +11,10 @@ namespace netddt::spin {
 DmaEngine::DmaEngine(sim::Engine& engine, const CostModel& cost,
                      std::span<std::byte> host_memory,
                      sim::MetricsRegistry* metrics)
-    : engine_(&engine), cost_(&cost), host_(host_memory) {
+    : engine_(&engine),
+      cost_(&cost),
+      host_(host_memory),
+      landing_lane_(engine.add_lane()) {
   if (metrics == nullptr) {
     local_metrics_ = std::make_unique<sim::MetricsRegistry>();
     metrics = local_metrics_.get();
@@ -55,18 +58,19 @@ void DmaEngine::write(std::int64_t host_off, std::span<const std::byte> src,
 
 void DmaEngine::write_at(sim::Time when, std::int64_t host_off,
                          std::span<const std::byte> src, bool signal_event,
-                         std::uint64_t msg_id) {
+                         std::uint64_t msg_id, sim::Engine::LaneId lane) {
   Request req;
   req.host_off = host_off;
   req.src = src;
   req.signal_event = signal_event;
   req.msg_id = msg_id;
-  enqueue_at(when, req);
+  enqueue_at(when, lane, req);
 }
 
 void DmaEngine::write_rmw_at(sim::Time when, std::int64_t host_off,
                              std::span<const std::byte> src, ReduceOp op,
-                             ElemType elem, std::uint64_t msg_id) {
+                             ElemType elem, std::uint64_t msg_id,
+                             sim::Engine::LaneId lane) {
   Request req;
   req.host_off = host_off;
   req.src = src;
@@ -75,19 +79,20 @@ void DmaEngine::write_rmw_at(sim::Time when, std::int64_t host_off,
   req.op = op;
   req.elem = elem;
   req.msg_id = msg_id;
-  enqueue_at(when, req);
+  enqueue_at(when, lane, req);
 }
 
-void DmaEngine::enqueue_at(sim::Time when, Request req) {
-  assert(when >= engine_->now());
+void DmaEngine::enqueue_at(sim::Time when, sim::Engine::LaneId lane,
+                           Request req) {
   // Capture the fields flat rather than the 48-byte Request: with `this`
   // that is 48 bytes — the same engine inline-callback bucket as the
   // historical plain-write capture (the callback size histogram is part
   // of the regression-gated JSON).
   engine_->schedule_at(
-      when, [this, host_off = req.host_off, src = req.src,
-             signal_event = req.signal_event, rmw = req.rmw, op = req.op,
-             elem = req.elem, msg_id = req.msg_id] {
+      when, lane,
+      [this, host_off = req.host_off, src = req.src,
+       signal_event = req.signal_event, rmw = req.rmw, op = req.op,
+       elem = req.elem, msg_id = req.msg_id] {
         depth_->add(1);
         queue_.push_back(Request{host_off, src, signal_event, rmw, op, elem,
                                  msg_id, engine_->now()});
@@ -130,7 +135,7 @@ void DmaEngine::start_next() {
   engine_->schedule(service, [this, req, landing] {
     busy_ = false;
     sample();
-    engine_->schedule(landing, [this, req] {
+    engine_->schedule_at(engine_->now() + landing, landing_lane_, [this, req] {
       if (!req.src.empty()) {
         const bool inside =
             req.host_off >= 0 &&

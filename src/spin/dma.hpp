@@ -8,6 +8,16 @@
 // tracked over time — that is the data behind Fig 14 and Fig 15 — and
 // published into the metrics registry under the "nic.dma" scope.
 //
+// Engine lanes (sim/engine.hpp) keep this engine's posted events out of
+// the engine's heap without moving them in time. Handler writes are
+// posted at their future issue times; a handler's writes issue at
+// nondecreasing times and an HPU runs its handlers back to back, so
+// write_at/write_rmw_at take the issuing HPU's lane (Scheduler::Task).
+// Landings ride one lane per DmaEngine: service is FIFO, so a plain
+// write never lands before the one served ahead of it (an RMW's extra
+// turnaround can make the next landing earlier; that one takes the
+// heap).
+//
 // Tracing: with a Tracer attached (and events on) every occupancy
 // change is sampled into the "nic.dma.queue_depth.trace" Series and a
 // counter track, each service window becomes a span on the "dma" track,
@@ -59,10 +69,13 @@ class DmaEngine {
              bool signal_event, std::uint64_t msg_id);
 
   /// Same, but enqueued at a future instant (handlers issue DMA commands
-  /// part-way through their charged runtime).
+  /// part-way through their charged runtime), riding the engine lane
+  /// `lane` until then (kNoLane: the engine's heap). Throws
+  /// std::invalid_argument when `when` lies before now().
   void write_at(sim::Time when, std::int64_t host_off,
                 std::span<const std::byte> src, bool signal_event,
-                std::uint64_t msg_id);
+                std::uint64_t msg_id,
+                sim::Engine::LaneId lane = sim::Engine::kNoLane);
 
   /// Read-modify-write request (compute handler families): at landing the
   /// destination becomes dst[i] = dst[i] (op) src[i] instead of a copy.
@@ -71,7 +84,8 @@ class DmaEngine {
   /// completion write stays a plain write).
   void write_rmw_at(sim::Time when, std::int64_t host_off,
                     std::span<const std::byte> src, ReduceOp op,
-                    ElemType elem, std::uint64_t msg_id);
+                    ElemType elem, std::uint64_t msg_id,
+                    sim::Engine::LaneId lane = sim::Engine::kNoLane);
 
   std::uint64_t total_writes() const { return writes_->value(); }
   std::uint64_t total_bytes() const { return bytes_->value(); }
@@ -106,7 +120,7 @@ class DmaEngine {
   };
   static_assert(sizeof(Request) == 48, "keep DMA callbacks heap-free");
 
-  void enqueue_at(sim::Time when, Request req);
+  void enqueue_at(sim::Time when, sim::Engine::LaneId lane, Request req);
 
   void start_next();
   void sample();
@@ -114,6 +128,7 @@ class DmaEngine {
   sim::Engine* engine_;
   const CostModel* cost_;
   std::span<std::byte> host_;
+  sim::Engine::LaneId landing_lane_;  // landings, in service order
   CompletionFn on_complete_;
   std::deque<Request> queue_;
   bool busy_ = false;

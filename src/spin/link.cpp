@@ -48,7 +48,8 @@ sim::Time Link::send(std::span<const p4::Packet> packets, sim::Time earliest,
       blame->interval(pkt.msg_id, sim::trace::BlameStage::kWire, depart,
                       arrival);
     }
-    engine_->schedule_at(arrival, [nic = target_, pkt] { nic->deliver(pkt); });
+    engine_->schedule_at(arrival, lane_,
+                         [nic = target_, pkt] { nic->deliver(pkt); });
   }
   return last_arrival;
 }

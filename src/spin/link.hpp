@@ -14,7 +14,11 @@
 // Lossless path (send): exactly-once, in the order given. The header
 // packet should come first and the completion packet last; callers may
 // reorder the payload packets in between (p4::shuffle_payload) to
-// exercise the out-of-order paths of the offload strategies.
+// exercise the out-of-order paths of the offload strategies. Each
+// delivery arrives one network latency after the wire clock, which only
+// moves forward, so send()'s deliveries ride one engine lane per Link:
+// they wait outside the engine's heap and fire exactly when they would
+// without it.
 //
 // Lossy path (send_reliable): the Link is one carrier of the
 // reliable-put protocol (p4::ReliablePut: acks, backoff, retry cap,
@@ -50,7 +54,10 @@ namespace netddt::spin {
 class Link {
  public:
   Link(sim::Engine& engine, NicModel& target, const CostModel& cost)
-      : engine_(&engine), target_(&target), cost_(&cost) {}
+      : engine_(&engine),
+        target_(&target),
+        cost_(&cost),
+        lane_(engine.add_lane()) {}
 
   /// Inject `packets` in the given order. Packet i departs when the wire
   /// is free, no earlier than `earliest` and, when `ready` is given, no
@@ -88,6 +95,7 @@ class Link {
   sim::Engine* engine_;
   NicModel* target_;
   const CostModel* cost_;
+  sim::Engine::LaneId lane_;  // send()'s deliveries, in arrival order
   sim::Time port_free_ = 0;
   // Fractional-ps serialization carry, so N packets occupy exactly the
   // whole-message wire time (sim::SerializationClock).

@@ -230,8 +230,8 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
       scheduler_.enqueue(
           pkt_copy.msg_id, st.ctx->policy, pkt_index,
           st.ctx->label, static_cast<std::int64_t>(pkt_index),
-          [this, &st, pkt_copy, run_header, run_payload](sim::Time start)
-              -> sim::Time {
+          [this, &st, pkt_copy, run_header, run_payload](
+              sim::Time start, sim::Engine::LaneId lane) -> sim::Time {
             // Handlers run functionally on the scheduler's stack, after
             // deliver() returned: re-install the packet identity so
             // segment/dataloop checks can name it.
@@ -242,19 +242,19 @@ void NicModel::deliver_spin(MsgState& st, const p4::Packet& pkt) {
                 -1});
             ChargeMeter meter;
             DmaIssuer issuer(
-                [this, &pkt_copy, start](sim::Time issue_offset,
-                                         std::int64_t host_off,
-                                         std::span<const std::byte> src,
-                                         bool signal_event) {
+                [this, &pkt_copy, start, lane](sim::Time issue_offset,
+                                               std::int64_t host_off,
+                                               std::span<const std::byte> src,
+                                               bool signal_event) {
                   dma_.write_at(start + issue_offset, host_off, src,
-                                signal_event, pkt_copy.msg_id);
+                                signal_event, pkt_copy.msg_id, lane);
                 },
-                [this, &pkt_copy, start](sim::Time issue_offset,
-                                         std::int64_t host_off,
-                                         std::span<const std::byte> src,
-                                         ReduceOp op, ElemType elem) {
+                [this, &pkt_copy, start, lane](sim::Time issue_offset,
+                                               std::int64_t host_off,
+                                               std::span<const std::byte> src,
+                                               ReduceOp op, ElemType elem) {
                   dma_.write_rmw_at(start + issue_offset, host_off, src, op,
-                                    elem, pkt_copy.msg_id);
+                                    elem, pkt_copy.msg_id, lane);
                 });
             HandlerArgs args{pkt_copy, st.entry.buffer_offset, meter,
                              issuer};
@@ -330,14 +330,15 @@ void NicModel::maybe_dispatch_completion(MsgState& st) {
   completion_pkt.last = true;
   scheduler_.enqueue(
       completion_pkt.msg_id, SchedulingPolicy::Default(), 0, "completion", -1,
-      [this, &st, completion_pkt](sim::Time start) -> sim::Time {
+      [this, &st, completion_pkt](sim::Time start,
+                                  sim::Engine::LaneId lane) -> sim::Time {
         ChargeMeter meter;
-        DmaIssuer issuer([this, &completion_pkt, start](
+        DmaIssuer issuer([this, &completion_pkt, start, lane](
                              sim::Time issue_offset, std::int64_t host_off,
                              std::span<const std::byte> src,
                              bool signal_event) {
           dma_.write_at(start + issue_offset, host_off, src, signal_event,
-                        completion_pkt.msg_id);
+                        completion_pkt.msg_id, lane);
         });
         HandlerArgs args{completion_pkt, st.entry.buffer_offset, meter,
                          issuer};

@@ -19,7 +19,8 @@ void OutboundEngine::process_put(std::uint64_t msg_id,
   for (std::size_t i = 0; i < put.packets.size(); ++i) {
     scheduler_.enqueue(
         msg_id, policy, i,
-        [this, &put, i](sim::Time /*start*/) -> sim::Time {
+        [this, &put, i](sim::Time /*start*/,
+                        sim::Engine::LaneId /*lane*/) -> sim::Time {
           const p4::Packet& pkt = put.packets[i];
           ChargeMeter meter;
           // Gather runs functionally now; its simulated cost gates the

@@ -84,7 +84,7 @@ void Scheduler::dispatch() {
 
 void Scheduler::run_task(Pending item, Vhpu* owner, std::uint32_t hpu) {
   const sim::Time start = engine_->now();
-  const sim::Time runtime = item.task(start);
+  const sim::Time runtime = item.task(start, hpu_lanes_[hpu]);
   handlers_run_->add(1);
   handler_time_->add(static_cast<std::uint64_t>(runtime));
   if (tracer_ != nullptr) {

@@ -13,7 +13,9 @@
 // on its physical HPU's track (named by the strategy label, correlated
 // by msg/pkt ids), the enqueue->start delay feeds the hpu_wait latency
 // histogram and the runtime feeds the handler histogram. HPU ids are
-// assigned lowest-free-first; assignment never influences timing.
+// assigned lowest-free-first; assignment never influences timing (each
+// HPU's engine lane only changes where its events wait, not when they
+// fire).
 
 #include <cstdint>
 #include <deque>
@@ -34,10 +36,15 @@ namespace netddt::spin {
 class Scheduler {
  public:
   /// A handler task: runs (functionally) at `start` and returns the
-  /// simulated runtime it charged. Move-only with 64 B of inline
-  /// storage — the NIC's header/payload/completion task lambdas all fit
-  /// without a heap allocation (see sim/inline_function.hpp).
-  using Task = sim::InlineFunction<sim::Time(sim::Time), 64>;
+  /// simulated runtime it charged. `lane` is the engine lane of the
+  /// physical HPU running it: the HPU's handlers run back to back, so
+  /// events a task posts at nondecreasing times from `start` on (its
+  /// DMA writes) may ride it. Move-only with 64 B of inline storage —
+  /// the NIC's header/payload/completion task lambdas all fit without a
+  /// heap allocation (see sim/inline_function.hpp).
+  using Task =
+      sim::InlineFunction<sim::Time(sim::Time start, sim::Engine::LaneId lane),
+                          64>;
 
   /// Publishes under "nic.sched"; nullptr gets a private registry.
   Scheduler(sim::Engine& engine, std::uint32_t hpus, const CostModel& cost,
@@ -53,6 +60,10 @@ class Scheduler {
     busy_hpus_ = &metrics->gauge("nic.sched.busy_hpus");
     free_hpus_.reserve(hpus_);
     for (std::uint32_t i = hpus_; i > 0; --i) free_hpus_.push_back(i - 1);
+    hpu_lanes_.reserve(hpus_);
+    for (std::uint32_t i = 0; i < hpus_; ++i) {
+      hpu_lanes_.push_back(engine.add_lane());
+    }
   }
 
   /// Enqueue a handler for packet `pkt_index` of message `msg_id` under
@@ -130,6 +141,7 @@ class Scheduler {
   // Stack of idle physical HPU ids (initially 0 on top). Deterministic
   // LIFO reuse; the assignment only labels trace tracks, never timing.
   std::vector<std::uint32_t> free_hpus_;
+  std::vector<sim::Engine::LaneId> hpu_lanes_;  // one engine lane per HPU
 
   std::unique_ptr<sim::MetricsRegistry> local_metrics_;
   sim::Counter* handlers_run_;   // nic.sched.handlers_run

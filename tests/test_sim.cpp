@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdlib>
@@ -338,6 +339,115 @@ TEST(Engine, NegativeDelayClampsToNow) {
   });
   eng.run();
   EXPECT_EQ(seen, ns(5));
+}
+
+TEST(Engine, ScheduleAtInThePastThrows) {
+  Engine eng;
+  const Engine::LaneId lane = eng.add_lane();
+  int fired = 0;
+  eng.schedule(ns(10), [&] {
+    ++fired;
+    EXPECT_THROW(eng.schedule_at(ns(9), [&] { ++fired; }),
+                 std::invalid_argument);
+    EXPECT_THROW(eng.schedule_at(ns(9), lane, [&] { ++fired; }),
+                 std::invalid_argument);
+    eng.schedule_at(ns(10), [&] { ++fired; });  // now() itself is fine
+  });
+  eng.run();
+  EXPECT_EQ(fired, 2);
+  // run_until moves the clock to its deadline: earlier times are past.
+  eng.run_until(ns(40));
+  EXPECT_THROW(eng.schedule_at(ns(20), [] {}), std::invalid_argument);
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.now(), ns(40));
+}
+
+// One randomized schedule of plain and laned events. Callbacks draw
+// from the script's own Rng in dispatch order, so a run with lanes and a
+// run with every lane replaced by kNoLane see the same schedule exactly
+// when they dispatch in the same order. Lane times are mostly sorted
+// (often tied); one in eight undercuts the lane and must fall back to
+// the heap; callbacks often schedule onto their own lane.
+struct LaneScript {
+  static constexpr int kLanes = 4;
+  struct Record {
+    int id;  // -1: a run_until slice ended
+    Time now;
+    std::size_t pending;
+    bool operator==(const Record&) const = default;
+  };
+
+  LaneScript(bool use_lanes, std::uint64_t seed)
+      : use_lanes(use_lanes), rng(seed) {
+    for (auto& lane : lanes) lane = eng.add_lane();
+  }
+
+  void post(int lane) {  // lane < 0: a plain event
+    const int id = next_id++;
+    Time when;
+    if (lane < 0) {
+      when = eng.now() + static_cast<Time>(rng.below(8));
+    } else {
+      const auto k = static_cast<std::size_t>(lane);
+      when = rng.below(8) == 0
+                 ? eng.now() + static_cast<Time>(rng.below(4))
+                 : std::max(eng.now(), tail[k]) +
+                       static_cast<Time>(rng.below(3));
+      tail[k] = std::max(tail[k], when);
+    }
+    const Engine::LaneId target =
+        use_lanes && lane >= 0 ? lanes[static_cast<std::size_t>(lane)]
+                               : Engine::kNoLane;
+    eng.schedule_at(when, target, [this, id, lane] { fire(id, lane); });
+  }
+
+  void fire(int id, int lane) {
+    log.push_back({id, eng.now(), eng.pending()});
+    if (budget > 0) {
+      // One or two children: the schedule grows until the budget ends.
+      const auto children = 1 + rng.below(2);
+      for (std::uint64_t c = 0; c < children && budget > 0; ++c, --budget) {
+        post(rng.below(3) == 0 ? lane
+                               : static_cast<int>(rng.below(kLanes + 1)) - 1);
+      }
+    }
+    log.push_back({id, eng.now(), eng.pending()});
+  }
+
+  void run() {
+    for (int i = 0; i < 64; ++i) {
+      post(static_cast<int>(rng.below(kLanes + 1)) - 1);
+    }
+    Time deadline = 0;
+    while (!eng.empty()) {
+      deadline += static_cast<Time>(rng.below(6));
+      eng.run_until(deadline);
+      log.push_back({-1, eng.now(), eng.pending()});
+    }
+  }
+
+  Engine eng;
+  bool use_lanes;
+  Rng rng;
+  std::array<Engine::LaneId, kLanes> lanes{};
+  std::array<Time, kLanes> tail{};
+  int next_id = 0;
+  int budget = 3000;
+  std::vector<Record> log;
+};
+
+TEST(Engine, LanesDispatchInHeapOrder) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    LaneScript heap_only(false, seed);
+    LaneScript laned(true, seed);
+    heap_only.run();
+    laned.run();
+    ASSERT_GT(heap_only.log.size(), 3000u);
+    EXPECT_EQ(laned.log, heap_only.log) << "seed " << seed;
+    EXPECT_EQ(laned.eng.max_pending(), heap_only.eng.max_pending());
+    EXPECT_EQ(laned.eng.executed(), heap_only.eng.executed());
+    EXPECT_EQ(laned.eng.now(), heap_only.eng.now());
+  }
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "p4/put.hpp"
@@ -239,6 +241,117 @@ TEST(Dma, ServiceRateMatchesPcieBandwidth) {
   EXPECT_GE(end, min_expected);
 }
 
+TEST(Dma, WriteAtInThePastThrows) {
+  sim::Engine eng;
+  CostModel cost;
+  std::vector<std::byte> host(64);
+  DmaEngine dma(eng, cost, host);
+  const auto src = pattern(8);
+  eng.run_until(sim::ns(10));
+  EXPECT_THROW(dma.write_at(sim::ns(9), 0, src, false, 1),
+               std::invalid_argument);
+  EXPECT_THROW(dma.write_rmw_at(sim::ns(9), 0, src, ReduceOp::kSum,
+                                ElemType::kInt8, 1),
+               std::invalid_argument);
+  EXPECT_THROW(dma.write_at(sim::ns(9), 0, src, false, 1, eng.add_lane()),
+               std::invalid_argument);
+  eng.run();
+  EXPECT_EQ(dma.total_writes(), 0u);
+  EXPECT_TRUE(dma.drained());
+}
+
+// Two HPUs issue interleaved runs of signalled writes, each on its own
+// lane; one write undercuts its lane and takes the heap. Landing times,
+// host bytes, the peak queue depth and the completion order must match
+// FIFO service computed by hand — and a run without lanes.
+TEST(Dma, HandlerLanesLandIdentically) {
+  struct Issue {
+    sim::Time at;
+    int hpu;
+    std::uint64_t msg;
+  };
+  constexpr std::size_t kBytes = 512;
+  std::vector<Issue> issues;  // in issue order
+  std::uint64_t msg = 0;
+  for (int run = 0; run < 3; ++run) {
+    // Handler `run` on HPU 0 starts at run*100 ns, on HPU 1 at +3 ns;
+    // each issues four writes 6 ns apart.
+    for (int k = 0; k < 4; ++k) {
+      for (int hpu = 0; hpu < 2; ++hpu) {
+        issues.push_back({sim::ns(100 * run + 6 * k + 3 * hpu), hpu, msg++});
+      }
+    }
+  }
+  issues.push_back({sim::ns(150), 0, msg++});  // behind HPU 0's tail
+  const auto src = pattern(kBytes * issues.size());
+
+  struct Landing {
+    std::uint64_t msg;
+    sim::Time when;
+    bool operator==(const Landing&) const = default;
+  };
+  struct Outcome {
+    std::vector<Landing> landings;
+    std::vector<std::byte> host;
+    std::size_t max_depth;
+  };
+  const auto run = [&](bool use_lanes) {
+    sim::Engine eng;
+    CostModel cost;
+    Outcome out{{}, std::vector<std::byte>(src.size()), 0};
+    DmaEngine dma(eng, cost, out.host);
+    dma.set_completion_callback([&](std::uint64_t id, sim::Time when) {
+      out.landings.push_back({id, when});
+    });
+    const sim::Engine::LaneId lanes[2] = {eng.add_lane(), eng.add_lane()};
+    for (const Issue& w : issues) {
+      const std::size_t off = kBytes * w.msg;
+      dma.write_at(w.at, static_cast<std::int64_t>(off),
+                   std::span(src).subspan(off, kBytes), true, w.msg,
+                   use_lanes ? lanes[w.hpu] : sim::Engine::kNoLane);
+    }
+    eng.run();
+    out.max_depth = dma.max_queue_depth();
+    EXPECT_TRUE(dma.drained());
+    return out;
+  };
+
+  // Hand-computed FIFO service: requests enter in (time, issue) order
+  // and each starts when it has arrived and the engine is free.
+  CostModel cost;
+  std::vector<Issue> arrivals = issues;
+  std::stable_sort(arrivals.begin(), arrivals.end(),
+                   [](const Issue& a, const Issue& b) { return a.at < b.at; });
+  std::vector<Landing> expect;
+  sim::Time free_at = 0;
+  for (const Issue& w : arrivals) {
+    const sim::Time start = std::max(w.at, free_at);
+    free_at = start + cost.dma_service(kBytes);
+    expect.push_back({w.msg, free_at + cost.pcie_write_latency});
+  }
+  // Depth counts requests issued but not landed; pre-posted arrivals
+  // fire before landings at the same instant.
+  std::size_t expect_depth = 0;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    std::size_t depth = 0;
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (expect[j].when >= arrivals[i].at) ++depth;
+    }
+    expect_depth = std::max(expect_depth, depth);
+  }
+
+  const Outcome laned = run(true);
+  EXPECT_EQ(laned.landings, expect);
+  EXPECT_EQ(laned.host, src);
+  EXPECT_EQ(laned.max_depth, expect_depth);
+  EXPECT_GT(expect_depth, 4u);  // the engine really queued
+
+  const Outcome heap_only = run(false);
+  EXPECT_EQ(heap_only.landings, laned.landings);
+  EXPECT_EQ(heap_only.host, laned.host);
+  EXPECT_EQ(heap_only.max_depth, laned.max_depth);
+}
+
 TEST(Scheduler, DefaultPolicyUsesAllHpus) {
   sim::Engine eng;
   CostModel cost;
@@ -246,7 +359,7 @@ TEST(Scheduler, DefaultPolicyUsesAllHpus) {
   std::vector<sim::Time> starts;
   for (int i = 0; i < 8; ++i) {
     sched.enqueue(1, SchedulingPolicy::Default(), static_cast<unsigned>(i),
-                  [&starts](sim::Time t) {
+                  [&starts](sim::Time t, sim::Engine::LaneId) {
                     starts.push_back(t);
                     return sim::ns(100);
                   });
@@ -269,10 +382,11 @@ TEST(Scheduler, BlockedRRSerializesSequences) {
   std::vector<std::pair<std::uint64_t, sim::Time>> runs;
   const auto policy = SchedulingPolicy::BlockedRR(2, 2);
   for (std::uint64_t p = 0; p < 6; ++p) {
-    sched.enqueue(1, policy, p, [&runs, p](sim::Time t) {
-      runs.emplace_back(p, t);
-      return sim::ns(100);
-    });
+    sched.enqueue(1, policy, p,
+                  [&runs, p](sim::Time t, sim::Engine::LaneId) {
+                    runs.emplace_back(p, t);
+                    return sim::ns(100);
+                  });
   }
   eng.run();
   ASSERT_EQ(runs.size(), 6u);
@@ -298,10 +412,11 @@ TEST(Scheduler, BlockedRRLimitedByPhysicalHpus) {
   const auto policy = SchedulingPolicy::BlockedRR(4, 1);
   std::vector<sim::Time> starts;
   for (std::uint64_t p = 0; p < 4; ++p) {
-    sched.enqueue(1, policy, p, [&starts](sim::Time t) {
-      starts.push_back(t);
-      return sim::ns(50);
-    });
+    sched.enqueue(1, policy, p,
+                  [&starts](sim::Time t, sim::Engine::LaneId) {
+                    starts.push_back(t);
+                    return sim::ns(50);
+                  });
   }
   eng.run();
   ASSERT_EQ(starts.size(), 4u);
