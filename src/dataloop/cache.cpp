@@ -1,5 +1,6 @@
 #include "dataloop/cache.hpp"
 
+#include <charconv>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -8,8 +9,12 @@
 namespace netddt::dataloop {
 namespace {
 
+// Decimal digits straight into the key (same bytes as std::to_string,
+// without its temporary: every run_receive builds a compile_cached key).
 void append_i64(std::string& out, std::int64_t v) {
-  out += std::to_string(v);
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
   out += ',';
 }
 

@@ -155,19 +155,24 @@ void Segment::advance_stream(std::uint64_t limit, const RegionEmit* emit,
     if (emit == nullptr && leaf_byte_ == 0) {
       // Catch-up fast paths: skip whole blocks arithmetically instead of
       // iterating them (the paper's "modified binary search", Sec 3.2.3).
-      if (leaf.kind == LoopKind::kVector) {
+      // Vector and blockindexed leaves have a uniform block_bytes;
+      // indexed leaves binary-search their stream prefix sums.
+      if ((leaf.kind == LoopKind::kVector ||
+           leaf.kind == LoopKind::kBlockIndexed) &&
+          leaf.block_bytes > 0) {
+        const std::int64_t blocks = leaf.block_count();
         const std::uint64_t want = limit - stream_pos_;
         const auto skippable = std::min<std::int64_t>(
-            leaf.count - top.block_idx,
+            blocks - top.block_idx,
             static_cast<std::int64_t>(want / leaf.block_bytes));
         if (skippable > 0) {
+          const std::uint64_t skipped =
+              static_cast<std::uint64_t>(skippable) * leaf.block_bytes;
           top.block_idx += skippable;
-          stream_pos_ +=
-              static_cast<std::uint64_t>(skippable) * leaf.block_bytes;
-          stats.catchup_bytes +=
-              static_cast<std::uint64_t>(skippable) * leaf.block_bytes;
+          stream_pos_ += skipped;
+          stats.catchup_bytes += skipped;
           stats.catchup_blocks += static_cast<std::uint64_t>(skippable);
-          if (top.block_idx == leaf.count) {
+          if (top.block_idx == blocks) {
             pop_and_advance();
           }
           continue;

@@ -6,7 +6,12 @@
 // The packed message is a byte stream; process(first, last) emits the
 // destination regions for stream window [first, last):
 //  - if `first` is ahead of the current position, the segment *catches
-//    up* (advances without emitting) — the cost HPU-local pays;
+//    up* (advances without emitting) — the cost HPU-local pays. Whole
+//    blocks of vector and blockindexed leaves (one uniform block size)
+//    are skipped arithmetically and indexed leaves by a binary search
+//    over their stream prefix sums; only partial blocks and the other
+//    leaf kinds are walked block by block. ProcessStats counts every
+//    skipped block either way;
 //  - if `first` is behind, the segment *resets* to its initial state and
 //    catches up from zero — the out-of-order-arrival penalty.
 //

@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ddt/datatype.hpp"
@@ -115,20 +117,13 @@ struct Driver {
   }
 
   void build_nodes() {
-    const std::uint64_t elem = spin::elem_size(cfg.elem);
     std::uint64_t host_bytes;
     if (reduce) {
-      NETDDT_CHECK(block % elem == 0,
-                   "reduce-scatter block must be element-aligned");
-      NETDDT_CHECK(cfg.fabric.cost.pkt_payload % elem == 0,
-                   "packet payload must be element-aligned for reduce");
       cc.family = spin::HandlerFamily::kReduce;
       cc.op = cfg.op;
       cc.elem = cfg.elem;
       host_bytes = static_cast<std::uint64_t>(cfg.rounds) * block;
     } else if (cfg.offload) {
-      NETDDT_CHECK(block % kRowBytes == 0,
-                   "block_bytes must be a multiple of 256");
       const std::uint64_t rows = block / kRowBytes;
       type = ddt::Datatype::hvector(static_cast<std::int64_t>(rows),
                                     kRowBytes, kRowStride,
@@ -158,7 +153,7 @@ struct Driver {
       fabric.attach(n, nic);
       if (reduce) {
         auto et = elem_type(cfg.elem);
-        const std::uint64_t count = block / elem;
+        const std::uint64_t count = block / spin::elem_size(cfg.elem);
         NETDDT_CHECK(offload::ComputePlan::elem_eligible(et, count, cc),
                      "reduce landing must be element-eligible");
         cplans.push_back(offload::ComputePlan::create(
@@ -365,8 +360,6 @@ struct Driver {
   }
 
   CollectiveRun execute() {
-    NETDDT_CHECK(P >= 2, "collective needs at least two nodes");
-    NETDDT_CHECK(cfg.rounds >= 1, "collective needs at least one round");
     build_nodes();
     post_receives();
     build_messages();
@@ -408,9 +401,35 @@ struct Driver {
   }
 };
 
+// Public-API misuse fails in every build, not only under SPIN_CHECK.
+void validate(const CollectiveConfig& cfg) {
+  const auto fail = [](const std::string& why) {
+    throw std::invalid_argument("run_collective: " + why);
+  };
+  if (cfg.fabric.topology.nodes < 2) fail("needs at least two nodes");
+  if (cfg.rounds == 0) fail("needs at least one round");
+  if (cfg.kind == CollectiveKind::kReduceScatter && cfg.offload) {
+    const std::uint64_t elem = spin::elem_size(cfg.elem);
+    if (cfg.block_bytes % elem != 0) {
+      fail("reduce-scatter block_bytes " + std::to_string(cfg.block_bytes) +
+           " is not a multiple of the " + std::to_string(elem) +
+           "-byte element");
+    }
+    if (cfg.fabric.cost.pkt_payload % elem != 0) {
+      fail("packet payload " + std::to_string(cfg.fabric.cost.pkt_payload) +
+           " is not a multiple of the " + std::to_string(elem) +
+           "-byte reduce element");
+    }
+  } else if (cfg.offload && cfg.block_bytes % kRowBytes != 0) {
+    fail("offloaded block_bytes " + std::to_string(cfg.block_bytes) +
+         " is not a multiple of " + std::to_string(kRowBytes));
+  }
+}
+
 }  // namespace
 
 CollectiveRun run_collective(const CollectiveConfig& config) {
+  validate(config);
   Driver driver(config);
   return driver.execute();
 }

@@ -116,6 +116,10 @@ struct CollectiveRun {
   sim::MetricsSnapshot fabric_metrics;
 };
 
+/// Throws std::invalid_argument on a config it cannot run: fewer than
+/// two nodes, zero rounds, an offloaded reduce-scatter whose block or
+/// packet payload is not element-aligned, or an offloaded byte-moving
+/// block that is not a multiple of 256.
 CollectiveRun run_collective(const CollectiveConfig& config);
 
 }  // namespace netddt::fabric

@@ -3,7 +3,8 @@
 #include "ddt/normalize.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace netddt::offload {
 
@@ -34,7 +35,10 @@ void DdtEngine::on_evicted(spin::NicMemory::Handle mem) {
 
 DdtEngine::TypeHandle DdtEngine::commit(ddt::TypePtr type,
                                         TypeAttributes attrs) {
-  assert(type && type->size() > 0);
+  if (!type) throw std::invalid_argument("DdtEngine::commit: null type");
+  if (type->size() == 0) {
+    throw std::invalid_argument("DdtEngine::commit: zero-size type");
+  }
   Committed c;
   c.type = ddt::normalize(type);
   c.attrs = attrs;
@@ -102,7 +106,11 @@ DdtEngine::PostResult DdtEngine::post_receive(TypeHandle handle,
                                               std::uint64_t length,
                                               std::uint64_t match_bits) {
   auto it = types_.find(handle);
-  assert(it != types_.end() && "post_receive on an uncommitted type");
+  if (it == types_.end()) {
+    throw std::invalid_argument("DdtEngine::post_receive: handle " +
+                                std::to_string(handle) +
+                                " is not a committed type");
+  }
   const Committed& committed = it->second;
 
   PostResult result{};

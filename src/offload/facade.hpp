@@ -51,7 +51,8 @@ class DdtEngine {
   DdtEngine& operator=(const DdtEngine&) = delete;
 
   /// Commit a datatype: normalization + strategy selection happen here;
-  /// the type becomes usable in post_receive.
+  /// the type becomes usable in post_receive. Throws
+  /// std::invalid_argument on a null or zero-size type.
   TypeHandle commit(ddt::TypePtr type, TypeAttributes attrs = {});
 
   /// Drop a committed type and release any cached NIC state.
@@ -68,6 +69,7 @@ class DdtEngine {
   /// Post a receive for `count` instances at `buffer_offset`, matching
   /// `match_bits`. Builds (or reuses) the offload plan, allocates NIC
   /// memory with LRU eviction, or falls back to host-based unpack.
+  /// Throws std::invalid_argument when `handle` is not committed.
   PostResult post_receive(TypeHandle handle, std::uint64_t count,
                           std::int64_t buffer_offset, std::uint64_t length,
                           std::uint64_t match_bits);

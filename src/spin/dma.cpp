@@ -1,5 +1,6 @@
 #include "spin/dma.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -93,85 +94,78 @@ void DmaEngine::enqueue_at(sim::Time when, sim::Engine::LaneId lane,
       [this, host_off = req.host_off, src = req.src,
        signal_event = req.signal_event, rmw = req.rmw, op = req.op,
        elem = req.elem, msg_id = req.msg_id] {
-        depth_->add(1);
-        queue_.push_back(Request{host_off, src, signal_event, rmw, op, elem,
-                                 msg_id, engine_->now()});
-        sample();
-        if (!busy_) start_next();
+        arrive(Request{host_off, src, signal_event, rmw, op, elem, msg_id,
+                       engine_->now()});
       });
 }
 
-void DmaEngine::start_next() {
-  if (queue_.empty()) return;
-  busy_ = true;
-  const Request req = queue_.front();
-  queue_.pop_front();
+void DmaEngine::arrive(const Request& req) {
+  depth_->add(1);
   sample();
 
+  // FIFO service at a fixed cost per request, and arrivals dispatch in
+  // time order: the request's service window opens once the engine is
+  // free and is known the moment it arrives.
   const sim::Time service = req.rmw ? cost_->dma_rmw_service(req.src.size())
                                     : cost_->dma_service(req.src.size());
   // RMW requests fetch the destination before the combined write posts.
   const sim::Time landing =
       cost_->pcie_write_latency + (req.rmw ? cost_->pcie_rmw_turnaround : 0);
+  const sim::Time begin = std::max(req.enqueued, free_at_);
+  free_at_ = begin + service;
   if (tracer_ != nullptr) {
-    tracer_->latency(sim::trace::Stage::kDmaQueueWait,
-                     engine_->now() - req.enqueued);
+    tracer_->latency(sim::trace::Stage::kDmaQueueWait, begin - req.enqueued);
     tracer_->latency(sim::trace::Stage::kPcieTransfer, service + landing);
     if (auto* blame = tracer_->blame()) {
       blame->interval(req.msg_id, sim::trace::BlameStage::kDmaQueue,
-                      req.enqueued, engine_->now());
+                      req.enqueued, begin);
       blame->interval(req.msg_id, sim::trace::BlameStage::kDmaTransfer,
-                      engine_->now(), engine_->now() + service + landing);
+                      begin, free_at_ + landing);
     }
     if (tracer_->events_on()) {
-      tracer_->complete(dma_track_, "dma write", engine_->now(),
-                        engine_->now() + service,
+      tracer_->complete(dma_track_, "dma write", begin, free_at_,
                         static_cast<std::int64_t>(req.msg_id));
     }
   }
-  // The engine frees up after `service`; the write lands in host memory
-  // one PCIe write latency later (posted writes pipeline; RMW adds the
-  // read turnaround).
-  engine_->schedule(service, [this, req, landing] {
-    busy_ = false;
-    sample();
-    engine_->schedule_at(engine_->now() + landing, landing_lane_, [this, req] {
-      if (!req.src.empty()) {
-        const bool inside =
-            req.host_off >= 0 &&
-            static_cast<std::size_t>(req.host_off) + req.src.size() <=
-                host_.size();
-        NETDDT_CHECK(inside, "DMA write outside host buffer: msg " +
-                                 std::to_string(req.msg_id) + " writes [" +
-                                 std::to_string(req.host_off) + ", +" +
-                                 std::to_string(req.src.size()) +
-                                 ") of a " + std::to_string(host_.size()) +
-                                 "-byte buffer");
-        assert(inside && "DMA write outside host buffer");
-        if (req.rmw) {
-          apply_reduce(host_.data() + req.host_off, req.src.data(),
-                       req.src.size(), req.op, req.elem);
-        } else {
-          std::memcpy(host_.data() + req.host_off, req.src.data(),
-                      req.src.size());
-        }
-      }
-      writes_->add(1);
-      bytes_->add(req.src.size());
-      assert(depth_->value() > 0);
-      depth_->sub(1);
-      sample();
-      last_completion_ = engine_->now();
-      if (tracer_ != nullptr && tracer_->events_on()) {
-        tracer_->instant(dma_track_, "landed", engine_->now(),
-                         static_cast<std::int64_t>(req.msg_id));
-      }
-      if (req.signal_event && on_complete_) {
-        on_complete_(req.msg_id, engine_->now());
-      }
-    });
-    start_next();
-  });
+  // The write lands in host memory one PCIe write latency after its
+  // service ends (posted writes pipeline; RMW adds the read turnaround).
+  engine_->schedule_at(free_at_ + landing, landing_lane_,
+                       [this, req] { land(req); });
+}
+
+void DmaEngine::land(const Request& req) {
+  if (!req.src.empty()) {
+    const bool inside =
+        req.host_off >= 0 &&
+        static_cast<std::size_t>(req.host_off) + req.src.size() <=
+            host_.size();
+    NETDDT_CHECK(inside, "DMA write outside host buffer: msg " +
+                             std::to_string(req.msg_id) + " writes [" +
+                             std::to_string(req.host_off) + ", +" +
+                             std::to_string(req.src.size()) + ") of a " +
+                             std::to_string(host_.size()) + "-byte buffer");
+    assert(inside && "DMA write outside host buffer");
+    if (req.rmw) {
+      apply_reduce(host_.data() + req.host_off, req.src.data(),
+                   req.src.size(), req.op, req.elem);
+    } else {
+      std::memcpy(host_.data() + req.host_off, req.src.data(),
+                  req.src.size());
+    }
+  }
+  writes_->add(1);
+  bytes_->add(req.src.size());
+  assert(depth_->value() > 0);
+  depth_->sub(1);
+  sample();
+  last_completion_ = engine_->now();
+  if (tracer_ != nullptr && tracer_->events_on()) {
+    tracer_->instant(dma_track_, "landed", engine_->now(),
+                     static_cast<std::int64_t>(req.msg_id));
+  }
+  if (req.signal_event && on_complete_) {
+    on_complete_(req.msg_id, engine_->now());
+  }
 }
 
 }  // namespace netddt::spin

@@ -4,19 +4,23 @@
 // Handlers push fire-and-forget DMA write requests (paper Sec 2.1.4);
 // the engine services them in order: each request costs a fixed per-
 // request overhead plus payload / PCIe bandwidth, and lands in host
-// memory one PCIe write latency after service. Queue occupancy is
-// tracked over time — that is the data behind Fig 14 and Fig 15 — and
-// published into the metrics registry under the "nic.dma" scope.
+// memory one PCIe write latency after service. Service is FIFO with a
+// deterministic cost and arrivals dispatch in time order, so each
+// request's service window [max(arrival, engine free), + service) is
+// computed when it arrives: a write costs two engine events, its
+// arrival and its landing. Queue occupancy is tracked over time — that
+// is the data behind Fig 14 and Fig 15 — and published into the metrics
+// registry under the "nic.dma" scope.
 //
 // Engine lanes (sim/engine.hpp) keep this engine's posted events out of
 // the engine's heap without moving them in time. Handler writes are
 // posted at their future issue times; a handler's writes issue at
 // nondecreasing times and an HPU runs its handlers back to back, so
 // write_at/write_rmw_at take the issuing HPU's lane (Scheduler::Task).
-// Landings ride one lane per DmaEngine: service is FIFO, so a plain
-// write never lands before the one served ahead of it (an RMW's extra
-// turnaround can make the next landing earlier; that one takes the
-// heap).
+// Landings, scheduled at arrival, ride one lane per DmaEngine: service
+// is FIFO, so a plain write never lands before the one served ahead of
+// it (an RMW's extra turnaround can make the next landing earlier; that
+// one takes the heap).
 //
 // Tracing: with a Tracer attached (and events on) every occupancy
 // change is sampled into the "nic.dma.queue_depth.trace" Series and a
@@ -27,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -95,7 +98,7 @@ class DmaEngine {
   std::size_t max_queue_depth() const {
     return static_cast<std::size_t>(depth_->peak());
   }
-  /// (time, depth) samples taken at every enqueue/dequeue: Fig 15. Only
+  /// (time, depth) samples taken at every arrival and landing: Fig 15. Only
   /// recorded while a tracer with events is attached.
   const std::vector<std::pair<sim::Time, double>>& depth_trace() const {
     return trace_->points();
@@ -116,13 +119,14 @@ class DmaEngine {
     ReduceOp op = ReduceOp::kSum;
     ElemType elem = ElemType::kInt8;
     std::uint64_t msg_id;
-    sim::Time enqueued;
+    sim::Time enqueued;  // arrival at the engine
   };
   static_assert(sizeof(Request) == 48, "keep DMA callbacks heap-free");
 
   void enqueue_at(sim::Time when, sim::Engine::LaneId lane, Request req);
 
-  void start_next();
+  void arrive(const Request& req);
+  void land(const Request& req);
   void sample();
 
   sim::Engine* engine_;
@@ -130,8 +134,7 @@ class DmaEngine {
   std::span<std::byte> host_;
   sim::Engine::LaneId landing_lane_;  // landings, in service order
   CompletionFn on_complete_;
-  std::deque<Request> queue_;
-  bool busy_ = false;
+  sim::Time free_at_ = 0;  // end of the last service window
   sim::Time last_completion_ = 0;
 
   std::unique_ptr<sim::MetricsRegistry> local_metrics_;

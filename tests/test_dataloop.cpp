@@ -221,6 +221,94 @@ TEST(Segment, ScatterEqualsReferenceUnpack) {
   EXPECT_EQ(via_segment, via_reference);
 }
 
+// Kinds of the leaf loops reachable from `loop`.
+void leaf_kinds(const Dataloop& loop, std::vector<LoopKind>& out) {
+  if (loop.leaf) {
+    out.push_back(loop.kind);
+  } else if (loop.kind == LoopKind::kStruct) {
+    for (const StructMember& m : loop.members) leaf_kinds(*m.child, out);
+  } else {
+    leaf_kinds(*loop.child, out);
+  }
+}
+
+// Catch-up skips whole vector and blockindexed blocks arithmetically. A
+// walk in one-byte steps never covers a whole block (every block here
+// is at least 4 bytes), so it goes through the per-block path. At every
+// stream position both must report the same catch-up and leave cursors
+// that emit the same regions from there on.
+TEST(Segment, UniformLeafCatchUpMatchesBlockWalk) {
+  const std::vector<std::int64_t> displs{0, 5, 3, 12};  // out of order
+  const std::vector<std::int64_t> hdispls{0, 40, 24, 100};
+  const auto vec = Datatype::vector(5, 2, 3, Datatype::int32());
+  const auto bidx = Datatype::indexed_block(2, displs, Datatype::int32());
+  const auto hbidx = Datatype::hindexed_block(1, hdispls, Datatype::float64());
+  const std::vector<std::int64_t> blocklens{1, 2, 1};
+  const std::vector<std::int64_t> sdispls{0, 200, 600};
+  const std::vector<TypePtr> members{bidx, vec, hbidx};
+  struct Case {
+    TypePtr type;
+    std::uint64_t count;
+    LoopKind leaf;
+  };
+  const Case cases[] = {
+      {vec, 3, LoopKind::kVector},
+      {bidx, 3, LoopKind::kBlockIndexed},
+      {hbidx, 2, LoopKind::kBlockIndexed},
+      {Datatype::hvector(3, 1, 512, bidx), 2, LoopKind::kBlockIndexed},
+      {Datatype::hvector(2, 2, 1024, vec), 2, LoopKind::kVector},
+      {Datatype::struct_type(blocklens, sdispls, members), 2,
+       LoopKind::kBlockIndexed},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.type->to_string());
+    CompiledDataloop loops(c.type, c.count);
+    std::vector<LoopKind> kinds;
+    leaf_kinds(loops.root(), kinds);
+    ASSERT_NE(std::find(kinds.begin(), kinds.end(), c.leaf), kinds.end());
+    const std::uint64_t total = loops.total_bytes();
+
+    Segment stepped(loops);  // one byte at a time: per-block path
+    ProcessStats walked;
+    for (std::uint64_t p = 0; p <= total; ++p) {
+      if (p > 0) {
+        const ProcessStats step = stepped.advance_to(p);
+        walked.catchup_bytes += step.catchup_bytes;
+        walked.catchup_blocks += step.catchup_blocks;
+      }
+      Segment skipped(loops);
+      const ProcessStats got = skipped.advance_to(p);
+      ASSERT_EQ(got.catchup_bytes, walked.catchup_bytes) << "at " << p;
+      ASSERT_EQ(got.catchup_blocks, walked.catchup_blocks) << "at " << p;
+      EXPECT_EQ(got.regions_emitted, 0u);
+      EXPECT_FALSE(got.reset);
+      ASSERT_EQ(skipped.position(), p);
+
+      // From p on, the cursor emits the tail of a fresh walk: the
+      // regions of process(0, q) past stream byte p, first one clipped.
+      for (const std::uint64_t q : {std::min(p + 5, total), total}) {
+        Segment fresh(loops);
+        std::vector<Region> tail;
+        std::uint64_t at = 0;
+        for (Region r : collect(fresh, 0, q)) {
+          if (at + r.size > p) {
+            const std::uint64_t cut = at < p ? p - at : 0;
+            tail.push_back(Region{r.offset + static_cast<std::int64_t>(cut),
+                                  r.size - cut});
+          }
+          at += r.size;
+        }
+        Segment from_skip = skipped;
+        Segment from_walk = stepped;
+        ASSERT_EQ(collect(from_skip, p, q), tail) << "at " << p << ", " << q;
+        ASSERT_EQ(collect(from_walk, p, q), tail) << "at " << p << ", " << q;
+      }
+    }
+    EXPECT_TRUE(stepped.finished());
+    EXPECT_EQ(walked.catchup_bytes, total);
+  }
+}
+
 TEST(Checkpoint, CopiedSegmentsDiverge) {
   auto t = milc_like();
   CompiledDataloop loops(t, 2);

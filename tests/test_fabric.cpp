@@ -147,6 +147,33 @@ TEST(Collectives, AlltoallDeliversAndVerifies) {
   EXPECT_GT(run.round_us[0], 0.0);
 }
 
+TEST(Collective, MisuseThrows) {
+  const auto throws = [](CollectiveConfig cc) {
+    EXPECT_THROW(run_collective(cc), std::invalid_argument);
+  };
+  auto one_node = base_config(CollectiveKind::kAlltoall);
+  one_node.fabric.topology.nodes = 1;
+  throws(one_node);
+  auto no_rounds = base_config(CollectiveKind::kAlltoall);
+  no_rounds.rounds = 0;
+  throws(no_rounds);
+  auto ragged_reduce = base_config(CollectiveKind::kReduceScatter);
+  ragged_reduce.block_bytes = 1022;  // not a multiple of int32
+  throws(ragged_reduce);
+  auto ragged_payload = base_config(CollectiveKind::kReduceScatter);
+  ragged_payload.elem = spin::ElemType::kInt64;
+  ragged_payload.fabric.cost.pkt_payload = 2044;
+  throws(ragged_payload);
+  auto ragged_rows = base_config(CollectiveKind::kAlltoall);
+  ragged_rows.block_bytes = 1000;  // not a multiple of 256
+  throws(ragged_rows);
+  // The host baseline lands packed slots: any block size runs.
+  ragged_rows.offload = false;
+  const auto run = run_collective(ragged_rows);
+  EXPECT_EQ(run.completed, run.messages);
+  EXPECT_EQ(run.mismatched_windows, 0u);
+}
+
 TEST(Collectives, AllgatherDeliversAndVerifies) {
   const auto run = run_collective(base_config(CollectiveKind::kAllgather));
   EXPECT_EQ(run.completed, run.messages);

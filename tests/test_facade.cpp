@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 #include "ddt/pack.hpp"
 #include "offload/facade.hpp"
@@ -40,6 +41,23 @@ class FacadeFixture : public ::testing::Test {
   spin::Link link;
   DdtEngine engine;
 };
+
+TEST(Facade, MisuseThrows) {
+  sim::Engine eng;
+  spin::Host host(1 << 16);
+  spin::NicModel nic(eng, host, spin::CostModel{}, spin::NicConfig{});
+  DdtEngine engine(nic);
+  EXPECT_THROW(engine.commit(nullptr), std::invalid_argument);
+  EXPECT_THROW(engine.commit(Datatype::contiguous(0, Datatype::int8())),
+               std::invalid_argument);
+  EXPECT_THROW(engine.post_receive(42, 1, 0, 1024, 7), std::invalid_argument);
+  const auto h = engine.commit(vec(4));
+  engine.free_type(h);
+  EXPECT_THROW(engine.post_receive(h, 1, 0, 1024, 7), std::invalid_argument);
+  // Nothing was posted.
+  EXPECT_EQ(engine.cached_plans(), 0u);
+  EXPECT_TRUE(eng.empty());
+}
 
 TEST_F(FacadeFixture, SpecializedChosenForLeafTypes) {
   const auto h = engine.commit(vec(128));

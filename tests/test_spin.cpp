@@ -352,6 +352,182 @@ TEST(Dma, HandlerLanesLandIdentically) {
   EXPECT_EQ(heap_only.max_depth, laned.max_depth);
 }
 
+// Each request's service window is computed when it arrives. Writes from
+// two HPU lanes and the heap, of mixed sizes, with one arrival exactly at
+// the previous service end and an RMW whose longer landing lets the
+// signalled plain write behind it land first: landings, completions,
+// host bytes, the queue peak, the stage histograms, the blame intervals
+// and the "dma write" spans must match FIFO service computed by hand.
+TEST(Dma, ServiceWindowIsClosedForm) {
+  struct Issue {
+    sim::Time at;
+    int lane;  // 0, 1: HPU lanes; 2: the heap
+    std::size_t bytes;
+    bool signal;
+    bool rmw;
+  };
+  const CostModel cost;
+  const sim::Time idle_end =
+      sim::ns(500) + cost.dma_service(256);  // service end of msg 5
+  const std::vector<Issue> issues = {
+      // msg: at, lane, bytes, signal, rmw
+      {sim::ns(0), 0, 512, false, false},      // 0
+      {sim::ns(1), 1, 128, true, false},       // 1
+      {sim::ns(2), 0, 64, false, false},       // 2
+      {sim::ns(2) + 500, 2, 2048, true, false},// 3
+      {sim::ns(3), 1, 1024, false, false},     // 4
+      {sim::ns(500), 0, 256, false, false},    // 5: engine idle
+      {idle_end, 1, 32, true, false},          // 6: at 5's service end
+      {sim::ns(1000), 0, 64, false, true},     // 7: RMW
+      {sim::ns(1001), 1, 16, true, false},     // 8: lands before 7
+      {sim::ns(1400), 2, 0, true, false},      // 9: completion signal
+  };
+  std::vector<std::size_t> offs;
+  std::size_t host_bytes = 0;
+  for (const Issue& w : issues) {
+    offs.push_back(host_bytes);
+    host_bytes += w.bytes;
+  }
+  const auto src = pattern(host_bytes);
+  std::vector<std::byte> host(host_bytes, std::byte{3});
+  const std::vector<std::byte> init = host;
+
+  // Hand-computed FIFO service (arrival times are distinct, so arrival
+  // order is time order).
+  struct Window {
+    sim::Time begin, end, landing;
+  };
+  std::vector<Window> expect;
+  sim::Time free_at = 0;
+  sim::Time wait_sum = 0, transfer_sum = 0;
+  for (const Issue& w : issues) {
+    const sim::Time service =
+        w.rmw ? cost.dma_rmw_service(w.bytes) : cost.dma_service(w.bytes);
+    const sim::Time begin = std::max(w.at, free_at);
+    free_at = begin + service;
+    const sim::Time landing = free_at + cost.pcie_write_latency +
+                              (w.rmw ? cost.pcie_rmw_turnaround : 0);
+    expect.push_back({begin, free_at, landing});
+    wait_sum += begin - w.at;
+    transfer_sum += landing - begin;
+  }
+  ASSERT_GT(expect[4].begin, issues[4].at);  // the engine really queued
+  ASSERT_EQ(expect[6].begin, issues[6].at);
+  ASSERT_EQ(expect[5].end, issues[6].at);
+  ASSERT_LT(expect[8].landing, expect[7].landing);
+  std::vector<std::uint64_t> land_order(issues.size());
+  for (std::size_t i = 0; i < issues.size(); ++i) land_order[i] = i;
+  std::stable_sort(land_order.begin(), land_order.end(),
+                   [&](std::uint64_t a, std::uint64_t b) {
+                     return expect[a].landing < expect[b].landing;
+                   });
+  // Pre-posted arrivals fire before landings at the same instant.
+  std::size_t expect_depth = 0;
+  for (std::size_t i = 0; i < issues.size(); ++i) {
+    std::size_t depth = 0;
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (expect[j].landing >= issues[i].at) ++depth;
+    }
+    expect_depth = std::max(expect_depth, depth);
+  }
+  ASSERT_GT(expect_depth, 4u);
+
+  sim::Engine eng;
+  sim::trace::TraceConfig tc;
+  tc.events = true;
+  tc.stats = true;
+  tc.blame = true;
+  sim::trace::Tracer tracer(tc);
+  DmaEngine dma(eng, cost, host);
+  dma.set_tracer(&tracer);
+  std::vector<std::pair<std::uint64_t, sim::Time>> completions;
+  dma.set_completion_callback([&](std::uint64_t id, sim::Time when) {
+    completions.emplace_back(id, when);
+  });
+  const sim::Engine::LaneId lanes[3] = {eng.add_lane(), eng.add_lane(),
+                                        sim::Engine::kNoLane};
+  for (std::uint64_t msg = 0; msg < issues.size(); ++msg) {
+    const Issue& w = issues[msg];
+    tracer.blame()->open(msg, w.at);
+    const auto bytes = std::span(src).subspan(offs[msg], w.bytes);
+    const auto off = static_cast<std::int64_t>(offs[msg]);
+    if (w.rmw) {
+      dma.write_rmw_at(w.at, off, bytes, ReduceOp::kSum, ElemType::kInt8,
+                       msg, lanes[w.lane]);
+    } else {
+      dma.write_at(w.at, off, bytes, w.signal, msg, lanes[w.lane]);
+    }
+  }
+  eng.run();
+  EXPECT_TRUE(dma.drained());
+  EXPECT_EQ(dma.total_writes(), issues.size());
+  EXPECT_EQ(dma.max_queue_depth(), expect_depth);
+  EXPECT_EQ(dma.last_completion(), expect[land_order.back()].landing);
+
+  // Landings ("landed" instants) and completions, in landing order.
+  std::vector<std::pair<std::uint64_t, sim::Time>> landed, want_landed,
+      want_completions;
+  for (const std::uint64_t msg : land_order) {
+    want_landed.emplace_back(msg, expect[msg].landing);
+    if (issues[msg].signal) {
+      want_completions.emplace_back(msg, expect[msg].landing);
+    }
+  }
+  const std::uint32_t dma_track = tracer.track("dma");
+  std::vector<std::pair<sim::Time, sim::Time>> spans(issues.size(), {-1, -1});
+  std::size_t open_span = 0;  // a span's 'E' follows its 'B' directly
+  for (const auto& ev : tracer.events()) {
+    if (ev.track != dma_track) continue;
+    if (ev.ph == 'i') landed.emplace_back(ev.msg, ev.ts);
+    if (ev.ph == 'B') {
+      open_span = static_cast<std::size_t>(ev.msg);
+      spans[open_span].first = ev.ts;
+    }
+    if (ev.ph == 'E') spans[open_span].second = ev.ts;
+  }
+  EXPECT_EQ(landed, want_landed);
+  EXPECT_EQ(completions, want_completions);
+  for (std::size_t msg = 0; msg < issues.size(); ++msg) {
+    EXPECT_EQ(spans[msg].first, expect[msg].begin) << "msg " << msg;
+    EXPECT_EQ(spans[msg].second, expect[msg].end) << "msg " << msg;
+  }
+
+  // Host bytes: plain writes copy, the RMW adds int8 lanes.
+  std::vector<std::byte> want_host = src;
+  for (std::size_t i = 0; i < issues[7].bytes; ++i) {
+    const std::size_t b = offs[7] + i;
+    want_host[b] = static_cast<std::byte>(
+        std::to_integer<unsigned>(init[b]) + std::to_integer<unsigned>(src[b]));
+  }
+  EXPECT_EQ(host, want_host);
+
+  // Stage histograms: one queue wait and one transfer per write.
+  const auto& wait = tracer.histogram(sim::trace::Stage::kDmaQueueWait);
+  const auto& transfer = tracer.histogram(sim::trace::Stage::kPcieTransfer);
+  EXPECT_EQ(wait.count(), issues.size());
+  EXPECT_EQ(transfer.count(), issues.size());
+  EXPECT_DOUBLE_EQ(wait.mean() * static_cast<double>(wait.count()),
+                   static_cast<double>(wait_sum));
+  EXPECT_DOUBLE_EQ(transfer.mean() * static_cast<double>(transfer.count()),
+                   static_cast<double>(transfer_sum));
+
+  // Blame: each message is one write, open at its arrival and closed at
+  // its landing, so the queue and transfer intervals tile the window.
+  for (std::uint64_t msg = 0; msg < issues.size(); ++msg) {
+    const auto* a = tracer.blame()->close(msg, expect[msg].landing);
+    ASSERT_NE(a, nullptr);
+    using sim::trace::BlameStage;
+    EXPECT_EQ(a->stage[static_cast<std::size_t>(BlameStage::kDmaQueue)],
+              expect[msg].begin - issues[msg].at)
+        << "msg " << msg;
+    EXPECT_EQ(a->stage[static_cast<std::size_t>(BlameStage::kDmaTransfer)],
+              expect[msg].landing - expect[msg].begin)
+        << "msg " << msg;
+    EXPECT_EQ(a->stage[static_cast<std::size_t>(BlameStage::kUnattributed)],
+              0);
+  }
+}
+
 TEST(Scheduler, DefaultPolicyUsesAllHpus) {
   sim::Engine eng;
   CostModel cost;
