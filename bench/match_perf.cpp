@@ -54,7 +54,7 @@ std::uint64_t next_pick(std::uint64_t& s) {
 }
 
 MatchList populate(MatchEngineKind kind, std::uint64_t posted) {
-  MatchList list(kind);
+  MatchList list(netddt::p4::make_match_engine(kind));
   for (std::uint64_t i = 0; i < posted; ++i) {
     MatchEntry e;
     if (i % 97 == 96) {

@@ -61,6 +61,15 @@ struct Cache {
   void touch(Entry& e) {
     if (e.lru != order.begin()) order.splice(order.begin(), order, e.lru);
   }
+  // A lookup that counts: a hit is marked most recently used. Caller
+  // holds mu.
+  Entry* lookup(const std::string& key) {
+    auto it = map.find(key);
+    if (it == map.end()) return nullptr;
+    ++hits;
+    touch(it->second);
+    return &it->second;
+  }
   void evict_to_capacity() {
     while (capacity != 0 && map.size() > capacity) {
       map.erase(order.back());
@@ -105,16 +114,6 @@ std::string type_signature_string(const ddt::Datatype& type) {
   return out;
 }
 
-std::uint64_t type_signature(const ddt::Datatype& type) {
-  const std::string sig = type_signature_string(type);
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (char c : sig) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 std::shared_ptr<const CompiledDataloop> compile_cached(
     const ddt::TypePtr& type, std::uint64_t count) {
   std::string key = make_key(type, count);
@@ -122,12 +121,7 @@ std::shared_ptr<const CompiledDataloop> compile_cached(
   Cache& c = cache();
   {
     std::lock_guard<std::mutex> lock(c.mu);
-    auto it = c.map.find(key);
-    if (it != c.map.end()) {
-      ++c.hits;
-      c.touch(it->second);
-      return it->second.loops;
-    }
+    if (Entry* e = c.lookup(key)) return e->loops;
   }
   // Compile outside the lock: compilation is the expensive part, and two
   // threads racing on the same key just produce one redundant compile.
@@ -143,14 +137,9 @@ CompiledPlan plan_cached(const ddt::TypePtr& type, std::uint64_t count) {
   std::shared_ptr<const CompiledDataloop> loops;
   {
     std::lock_guard<std::mutex> lock(c.mu);
-    auto it = c.map.find(key);
-    if (it != c.map.end()) {
-      ++c.hits;
-      c.touch(it->second);
-      if (it->second.program_compiled) {
-        return CompiledPlan{it->second.loops, it->second.program};
-      }
-      loops = it->second.loops;  // dataloop cached, program still pending
+    if (Entry* e = c.lookup(key)) {
+      if (e->program_compiled) return CompiledPlan{e->loops, e->program};
+      loops = e->loops;  // dataloop cached, program still pending
     }
   }
   if (!loops) {

@@ -51,10 +51,6 @@ struct DataloopCacheStats {
 /// to interchangeable dataloops.
 std::string type_signature_string(const ddt::Datatype& type);
 
-/// 64-bit FNV-1a hash of type_signature_string(); handy as a compact
-/// identity for logs and tests.
-std::uint64_t type_signature(const ddt::Datatype& type);
-
 /// Compile `count` instances of `type`, memoized: structurally identical
 /// (type, count) pairs return the same shared CompiledDataloop.
 std::shared_ptr<const CompiledDataloop> compile_cached(

@@ -62,9 +62,13 @@ void Datatype::finalize() {
   bool any = false;
   std::int64_t lo = 0, hi = 0, tlo = 0, thi = 0;
 
-  // Fold one member's bounds into the running lb/ub and true bounds.
+  // Fold one member's bounds into the running lb/ub and true bounds. A
+  // member with an empty typemap (no bytes, bounds left at 0/0 so no
+  // lb/ub markers) contributes no entries and therefore no bounds,
+  // wherever it is displaced (MPI typemap rules).
   auto fold = [&](std::int64_t disp_lo, std::int64_t disp_hi,
                   const Datatype& c) {
+    if (c.size() == 0 && c.lb() == 0 && c.ub() == 0) return;
     if (!any) {
       lo = disp_lo + c.lb();
       hi = disp_hi + c.ub();
@@ -165,7 +169,7 @@ void Datatype::finalize() {
         const Datatype& c = *children_[i];
         const std::int64_t bl = blocklens_[i];
         size_ += static_cast<std::uint64_t>(bl) * c.size();
-        if (bl > 0 && c.size() + static_cast<std::uint64_t>(c.extent()) > 0) {
+        if (bl > 0) {
           const auto inner = span_of(bl, c.extent());
           fold(displs_[i] + inner.lo, displs_[i] + inner.hi, c);
         }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 
 #include "dataloop/cache.hpp"
@@ -105,63 +104,21 @@ ComputePlan::ComputePlan(const ddt::TypePtr& type, std::uint64_t count,
   // Family header: family/op/elem params + base/length, 32 B.
   descriptor_bytes_ = 32;
   if (cc_.family == HandlerFamily::kAccumulate) {
-    regions_ = type->flatten(count);
-    prefix_.reserve(regions_.size() + 1);
-    std::uint64_t at = 0;
-    for (const auto& r : regions_) {
-      prefix_.push_back(at);
-      at += r.size;
-    }
-    prefix_.push_back(at);
-    if (engine == dataloop::PackEngine::kProgram) {
-      program_ = dataloop::plan_cached(type, count).program;
-    }
-    descriptor_bytes_ += program_ != nullptr
-                             ? program_->descriptor_bytes()
-                             : 16 + regions_.size() * 16;
+    table_ = ResumeTable(RegionIndex(type->flatten(count)),
+                         engine == dataloop::PackEngine::kProgram
+                             ? dataloop::plan_cached(type, count).program
+                             : nullptr);
+    descriptor_bytes_ += table_.descriptor_bytes();
   } else if (cc_.family == HandlerFamily::kReduce) {
     // Identity mapping, but the destination pre-load and the host
     // reference still walk one pseudo-region covering the whole target.
-    regions_.push_back(ddt::Region{0, logical_bytes_});
-    prefix_ = {0, logical_bytes_};
+    table_ = ResumeTable(RegionIndex({ddt::Region{0, logical_bytes_}}),
+                         nullptr);
   }
   elems_ = &metrics.counter("nic.compute.elems");
   rmw_writes_ = &metrics.counter("nic.compute.rmw_writes");
   rmw_bytes_ = &metrics.counter("nic.compute.rmw_bytes");
   frag_count_ = &metrics.counter("nic.compute.fragments");
-}
-
-template <typename Fn>
-void ComputePlan::walk_mapping(std::uint64_t first, std::uint64_t last,
-                               Fn&& fn) const {
-  if (cc_.family == HandlerFamily::kReduce) {
-    fn(static_cast<std::int64_t>(first), first, last - first);
-    return;
-  }
-  if (program_ != nullptr) {
-    // Fused-region walk: the program enumerates window regions in stream
-    // order, so the absolute stream offset is first + bytes seen so far.
-    std::uint64_t stream = first;
-    program_->for_each_region(
-        first, last, [&](std::int64_t host_off, std::uint64_t len) {
-          fn(host_off, stream, len);
-          stream += len;
-        });
-    return;
-  }
-  auto it = std::upper_bound(prefix_.begin(), prefix_.end(), first);
-  auto idx =
-      static_cast<std::uint64_t>(std::distance(prefix_.begin(), it)) - 1;
-  std::uint64_t pos = first;
-  while (pos < last) {
-    const auto& r = regions_[idx];
-    const std::uint64_t rem = pos - prefix_[idx];
-    const std::uint64_t take =
-        std::min<std::uint64_t>(r.size - rem, last - pos);
-    fn(r.offset + static_cast<std::int64_t>(rem), pos, take);
-    pos += take;
-    if (pos == prefix_[idx + 1]) ++idx;
-  }
 }
 
 void ComputePlan::stage_fragment(spin::HandlerArgs& args,
@@ -210,16 +167,12 @@ void ComputePlan::handle_window(spin::HandlerArgs& args) {
   const std::uint64_t last = first + args.pkt.payload_bytes;
   // Resume lookup: binary search over the region prefix sums (or the
   // program's op array) to find the packet's start, as in SpecializedPlan.
-  const std::size_t table =
-      program_ != nullptr ? program_->ops().size() + 1 : prefix_.size();
-  const auto steps = static_cast<sim::Time>(
-      std::ceil(std::log2(static_cast<double>(table))));
-  args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
+  args.meter.charge(spin::Phase::kSetup, table_.resume_charge());
 
   const std::size_t e = spin::elem_size(cc_.elem);
-  walk_mapping(first, last, [&](std::int64_t host_off,
-                                std::uint64_t stream_abs,
-                                std::uint64_t len) {
+  table_.walk(first, last, [&](std::int64_t host_off,
+                               std::uint64_t stream_abs,
+                               std::uint64_t len) {
     while (len > 0) {
       const auto phase = static_cast<std::uint32_t>(stream_abs % e);
       if (phase != 0 || len < e) {
@@ -329,11 +282,13 @@ void ComputePlan::init_fill(std::byte* buf, std::int64_t shift,
                             std::uint64_t seed) const {
   if (cc_.family == HandlerFamily::kTransform) return;
   const std::size_t e = spin::elem_size(cc_.elem);
-  for (std::size_t i = 0; i < regions_.size(); ++i) {
-    const auto& r = regions_[i];
-    spin::fill_typed(buf + shift + r.offset, r.size, cc_.elem,
-                     seed ^ kInitSeedSalt, prefix_[i] / e);
-  }
+  table_.regions().walk(
+      0, table_.regions().total_bytes(),
+      [&](std::size_t, std::int64_t host_off, std::uint64_t stream,
+          std::uint64_t len) {
+        spin::fill_typed(buf + shift + host_off, len, cc_.elem,
+                         seed ^ kInitSeedSalt, stream / e);
+      });
 }
 
 void ComputePlan::host_reference(std::byte* buf, std::int64_t shift,
@@ -351,11 +306,13 @@ void ComputePlan::host_reference(std::byte* buf, std::int64_t shift,
     case HandlerFamily::kAccumulate:
       // One combined contribution per element; order is irrelevant
       // because each destination element receives exactly one combine.
-      for (std::size_t i = 0; i < regions_.size(); ++i) {
-        const auto& r = regions_[i];
-        spin::apply_reduce(buf + shift + r.offset, stream + prefix_[i],
-                           r.size, cc_.op, cc_.elem);
-      }
+      table_.regions().walk(
+          0, table_.regions().total_bytes(),
+          [&](std::size_t, std::int64_t host_off, std::uint64_t at,
+              std::uint64_t len) {
+            spin::apply_reduce(buf + shift + host_off, stream + at, len,
+                               cc_.op, cc_.elem);
+          });
       break;
     case HandlerFamily::kScatter: break;
   }

@@ -33,6 +33,7 @@
 
 #include "dataloop/program.hpp"
 #include "ddt/datatype.hpp"
+#include "offload/region_index.hpp"
 #include "sim/metrics.hpp"
 #include "spin/compute.hpp"
 #include "spin/handler.hpp"
@@ -81,8 +82,6 @@ class ComputePlan {
   /// region list / program for kAccumulate (the SpecializedPlan analogue).
   std::uint64_t descriptor_bytes() const { return descriptor_bytes_; }
 
-  const spin::ComputeConfig& config() const { return cc_; }
-
   /// Build the expected destination contents (init-fill + one combined
   /// contribution per element) into `buf`, a buffer_bytes-sized window
   /// whose byte `shift` is destination offset 0. Shared by the runner's
@@ -103,13 +102,6 @@ class ComputePlan {
               const spin::CostModel& cost, dataloop::PackEngine engine,
               const spin::ComputeConfig& cc, sim::MetricsRegistry& metrics);
 
-  /// Enumerate the destination mapping of stream window [first, last) in
-  /// stream order: fn(host_off, stream_off, len) with stream_off
-  /// absolute. Identity for kReduce/kTransform (kTransform in *wire*
-  /// coordinates scaled to host bytes); region walk for kAccumulate.
-  template <typename Fn>
-  void walk_mapping(std::uint64_t first, std::uint64_t last, Fn&& fn) const;
-
   void handle_window(spin::HandlerArgs& args);
   void handle_transform(spin::HandlerArgs& args);
   void stage_fragment(spin::HandlerArgs& args, std::uint64_t elem_idx,
@@ -123,12 +115,10 @@ class ComputePlan {
   std::uint64_t logical_bytes_ = 0;  // destination bytes
   std::uint64_t stream_bytes_ = 0;   // bytes on the wire
 
-  // kAccumulate walk state: region list + stream-offset prefix sums
-  // (always built — also the eligibility witness), or the compiled flat
-  // program when the pack engine selected it.
-  std::vector<ddt::Region> regions_;
-  std::vector<std::uint64_t> prefix_;
-  std::shared_ptr<const dataloop::FlatProgram> program_;
+  // kAccumulate: the region list (always built: init_fill and
+  // host_reference walk it) or the flat program the pack engine selected.
+  // kReduce: one pseudo-region, the identity mapping. kTransform: empty.
+  ResumeTable table_{RegionIndex{}, nullptr};
 
   // Fragment staging (split elements): keyed by global element index.
   // Values stay stable in assembled_/staging_ until the DMA lands.

@@ -1,20 +1,11 @@
 #include "offload/iovec.hpp"
 
-#include <algorithm>
-
 namespace netddt::offload {
 
 IovecPlan::IovecPlan(const ddt::TypePtr& type, std::uint64_t count,
                      const spin::CostModel& cost,
                      std::uint32_t window_entries)
     : cost_(&cost), window_(window_entries), regions_(type->flatten(count)) {
-  prefix_.reserve(regions_.size() + 1);
-  std::uint64_t at = 0;
-  for (const auto& r : regions_) {
-    prefix_.push_back(at);
-    at += r.size;
-  }
-  prefix_.push_back(at);
   // Building the list costs one walk of the type on the host.
   host_setup_time_ = static_cast<sim::Time>(regions_.size()) *
                      cost.host_block_overhead;
@@ -29,33 +20,22 @@ spin::ExecutionContext IovecPlan::context(spin::NicModel& nic) {
   ctx.payload = [this](spin::HandlerArgs& args) {
     const spin::CostModel& c = *cost_;
     const std::uint64_t first = args.pkt.offset;
-    const std::uint64_t last = first + args.pkt.payload_bytes;
-
-    auto it = std::upper_bound(prefix_.begin(), prefix_.end(), first);
-    auto idx = static_cast<std::uint64_t>(
-                   std::distance(prefix_.begin(), it)) -
-               1;
-    std::uint64_t pos = first;
-    std::uint64_t stream = 0;
-    while (pos < last) {
-      if (idx >= fetched_) {
-        // Window exhausted: fetch the next v entries from host memory.
-        args.meter.charge(spin::Phase::kSetup, c.pcie_read_latency);
-        fetched_ += window_;
-      }
-      const auto& r = regions_[idx];
-      const std::uint64_t rem = pos - prefix_[idx];
-      const std::uint64_t take =
-          std::min<std::uint64_t>(r.size - rem, last - pos);
-      args.meter.charge(spin::Phase::kProcessing, c.iovec_per_block);
-      args.dma.write(args.meter.total(),
-                     args.buffer_offset + r.offset +
-                         static_cast<std::int64_t>(rem),
-                     {args.pkt.data + stream, take});
-      pos += take;
-      stream += take;
-      if (pos == prefix_[idx + 1]) ++idx;
-    }
+    regions_.walk(first, first + args.pkt.payload_bytes,
+                  [&](std::size_t idx, std::int64_t host_off,
+                      std::uint64_t stream, std::uint64_t len) {
+                    if (idx >= fetched_) {
+                      // Window exhausted: fetch the next v entries from
+                      // host memory.
+                      args.meter.charge(spin::Phase::kSetup,
+                                        c.pcie_read_latency);
+                      fetched_ += window_;
+                    }
+                    args.meter.charge(spin::Phase::kProcessing,
+                                      c.iovec_per_block);
+                    args.dma.write(args.meter.total(),
+                                   args.buffer_offset + host_off,
+                                   {args.pkt.data + (stream - first), len});
+                  });
   };
 
   ctx.completion = [c = cost_](spin::HandlerArgs& args) {

@@ -8,9 +8,9 @@
 // which we model as a blocked-RR policy with a single vHPU.
 
 #include <cstdint>
-#include <vector>
 
 #include "ddt/datatype.hpp"
+#include "offload/region_index.hpp"
 #include "spin/handler.hpp"
 #include "spin/nic.hpp"
 
@@ -26,16 +26,14 @@ class IovecPlan {
   /// Host time to build the iovec list (paid per receive: entries embed
   /// virtual addresses, so the list cannot be reused across buffers).
   sim::Time host_setup_time() const { return host_setup_time_; }
-  std::uint64_t entries() const { return regions_.size(); }
 
   spin::ExecutionContext context(spin::NicModel& nic);
 
  private:
   const spin::CostModel* cost_;
   std::uint32_t window_;
-  std::vector<ddt::Region> regions_;
-  std::vector<std::uint64_t> prefix_;  // stream offset of each region
-  std::uint64_t fetched_ = 0;          // entries already on the NIC
+  RegionIndex regions_;
+  std::uint64_t fetched_ = 0;  // entries already on the NIC
   sim::Time host_setup_time_ = 0;
 };
 

@@ -159,8 +159,7 @@ ReceiveRun run_receive(const ReceiveConfig& config) {
   spin::Host host(host_bytes);
   spin::NicModel nic(
       engine, host, config.cost,
-      spin::NicConfig{config.hpus, config.nicmem_bytes,
-                      config.match_engine});
+      spin::NicConfig{config.hpus, config.nicmem_bytes});
   spin::Link link(engine, nic, nic.cost());
   if (config.trace.any()) {
     run.tracer = std::make_unique<sim::trace::Tracer>(config.trace);

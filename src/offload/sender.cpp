@@ -7,6 +7,7 @@
 #include "dataloop/cache.hpp"
 #include "ddt/pack.hpp"
 #include "offload/host_model.hpp"
+#include "offload/region_index.hpp"
 #include "p4/put.hpp"
 #include "spin/link.hpp"
 #include "spin/nic.hpp"
@@ -27,7 +28,7 @@ SendResult run_send(const SendConfig& config) {
   assert(config.type && config.count > 0);
   const spin::CostModel& c = config.cost;
   const std::uint64_t msg = config.type->size() * config.count;
-  const auto regions = config.type->flatten(config.count);
+  const RegionIndex regions(config.type->flatten(config.count));
 
   SendResult res;
   res.strategy = config.strategy;
@@ -48,16 +49,13 @@ SendResult run_send(const SendConfig& config) {
           (config.count - 1) +
       static_cast<std::uint64_t>(hi) + 64;
   std::vector<std::byte> source(src_bytes, std::byte{0});
-  {
-    std::uint64_t stream = 0;
-    for (const auto& r : regions) {
-      for (std::uint64_t b = 0; b < r.size; ++b, ++stream) {
-        source[static_cast<std::size_t>(
-                   static_cast<std::int64_t>(shift) + r.offset) +
-               b] = static_cast<std::byte>((stream * 131 + 7) & 0xFF);
-      }
+  regions.walk(0, msg, [&](std::size_t, std::int64_t off,
+                           std::uint64_t stream, std::uint64_t len) {
+    std::byte* dst = source.data() + shift + off;
+    for (std::uint64_t b = 0; b < len; ++b) {
+      dst[b] = static_cast<std::byte>(((stream + b) * 131 + 7) & 0xFF);
     }
-  }
+  });
   std::vector<std::byte> expected(msg);
   std::shared_ptr<const dataloop::FlatProgram> prog;
   if (config.pack_engine == dataloop::PackEngine::kProgram) {
@@ -105,8 +103,7 @@ SendResult run_send(const SendConfig& config) {
       // chunk available after the cumulative discovery time. Region
       // discovery only reads descriptors — no data copy.
       sim::Time cpu = 0;
-      std::uint64_t stream = 0;
-      if (regions.empty()) {
+      if (regions.size() == 0) {
         // Zero-size type: nothing to walk, but the put must still close
         // with its single empty packet.
         for (auto& pkt : sput.stream({}, true)) {
@@ -114,17 +111,15 @@ SendResult run_send(const SendConfig& config) {
           ready.push_back(cpu);
         }
       }
-      for (std::size_t i = 0; i < regions.size(); ++i) {
+      regions.walk(0, msg, [&](std::size_t i, std::int64_t,
+                               std::uint64_t stream, std::uint64_t len) {
         cpu += c.host_block_overhead * 4;  // find region + issue call
-        const auto& r = regions[i];
-        auto out = sput.stream({expected.data() + stream, r.size},
-                               i + 1 == regions.size());
-        stream += r.size;
-        for (auto& pkt : out) {
+        for (auto& pkt : sput.stream({expected.data() + stream, len},
+                                     i + 1 == regions.size())) {
           packets.push_back(pkt);
           ready.push_back(cpu);
         }
-      }
+      });
       res.cpu_busy_time = cpu;
       break;
     }
@@ -134,44 +129,22 @@ SendResult run_send(const SendConfig& config) {
       // packet's regions and DMA-reads them from host memory.
       outbound = std::make_unique<spin::OutboundEngine>(engine, c,
                                                         config.hpus, nic);
-      // Stream prefix of each region, for the per-packet window search.
-      std::vector<std::uint64_t> prefix;
-      prefix.reserve(regions.size() + 1);
-      std::uint64_t at = 0;
-      for (const auto& r : regions) {
-        prefix.push_back(at);
-        at += r.size;
-      }
-      prefix.push_back(at);
-
       outbound->process_put(
           1, me.match_bits, msg, spin::SchedulingPolicy::Default(),
-          [&c, &source, &regions, shift, prefix = std::move(prefix)](
-              const p4::Packet& pkt, std::byte* staging,
-              spin::ChargeMeter& meter) {
+          [&c, &source, &regions, shift](const p4::Packet& pkt,
+                                         std::byte* staging,
+                                         spin::ChargeMeter& meter) {
             meter.charge(spin::Phase::kInit,
                          c.h_init + c.pcie_read_latency);
             const std::uint64_t first = pkt.offset;
-            const std::uint64_t last = first + pkt.payload_bytes;
-            auto it = std::upper_bound(prefix.begin(), prefix.end(), first);
-            auto idx = static_cast<std::uint64_t>(
-                           std::distance(prefix.begin(), it)) -
-                       1;
-            std::uint64_t pos = first;
-            while (pos < last) {
-              const auto& r = regions[idx];
-              const std::uint64_t rem = pos - prefix[idx];
-              const std::uint64_t take =
-                  std::min<std::uint64_t>(r.size - rem, last - pos);
-              meter.charge(spin::Phase::kProcessing,
-                           c.h_block + c.h_dma_issue);
-              std::memcpy(staging + (pos - first),
-                          source.data() + shift + r.offset +
-                              static_cast<std::ptrdiff_t>(rem),
-                          take);
-              pos += take;
-              if (pos == prefix[idx + 1]) ++idx;
-            }
+            regions.walk(first, first + pkt.payload_bytes,
+                         [&](std::size_t, std::int64_t off,
+                             std::uint64_t stream, std::uint64_t len) {
+                           meter.charge(spin::Phase::kProcessing,
+                                        c.h_block + c.h_dma_issue);
+                           std::memcpy(staging + (stream - first),
+                                       source.data() + shift + off, len);
+                         });
           });
       res.cpu_busy_time = c.h_init;  // the PtlProcessPut control op only
       break;

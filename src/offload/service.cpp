@@ -306,8 +306,7 @@ ServiceRun run_service(const ServiceConfig& config) {
   sim::Engine engine;
   spin::Host host(host_bytes);
   spin::NicModel nic(engine, host, config.cost,
-                     spin::NicConfig{config.hpus, config.nicmem_bytes,
-                                     config.match_engine});
+                     spin::NicConfig{config.hpus, config.nicmem_bytes});
   spin::Link link(engine, nic, nic.cost());
   DdtEngine facade(nic, config.eviction);
   st.engine = &engine;

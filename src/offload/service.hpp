@@ -63,7 +63,6 @@ struct ServiceConfig {
   spin::CostModel cost{};
   std::uint32_t hpus = 16;
   std::uint64_t nicmem_bytes = 4ull << 20;
-  p4::MatchEngineKind match_engine = p4::MatchEngineKind::kHashed;
   spin::EvictionPolicyKind eviction = spin::EvictionPolicyKind::kLru;
   /// Admission window: receives posted + in flight at any instant.
   std::uint64_t max_inflight = 1024;

@@ -85,29 +85,20 @@ SpecializedPlan::SpecializedPlan(const ddt::TypePtr& type,
                                  const spin::CostModel& cost,
                                  dataloop::PackEngine engine)
     : loops_(dataloop::compile_cached(type, count)), cost_(&cost) {
+  const dataloop::Dataloop& leaf = loops_->root();
   if (engine == dataloop::PackEngine::kProgram) {
-    program_ = dataloop::plan_cached(type, count).program;
-    if (program_ != nullptr) {
-      // The program *is* the NIC-resident descriptor: op array + gather
-      // table. Its handler needs no other plan state.
-      descriptor_bytes_ = program_->descriptor_bytes();
-      closed_form_ = loops_->root().leaf;
-      return;
+    // The program *is* the NIC-resident descriptor: op array + gather
+    // table. Its handler needs no other plan state.
+    if (auto program = dataloop::plan_cached(type, count).program) {
+      table_.emplace(RegionIndex{}, std::move(program));
     }
   }
-  const dataloop::Dataloop& leaf = loops_->root();
-  if (!leaf.leaf) {
-    // Region-list fallback: offset + size per region, 16 B entries.
-    closed_form_ = false;
-    regions_ = type->flatten(count);
-    prefix_.reserve(regions_.size() + 1);
-    std::uint64_t at = 0;
-    for (const auto& r : regions_) {
-      prefix_.push_back(at);
-      at += r.size;
-    }
-    prefix_.push_back(at);
-    descriptor_bytes_ = 16 + regions_.size() * 16;
+  if (!table_ && !leaf.leaf) {
+    // Region-list fallback: offset + size per region.
+    table_.emplace(RegionIndex(type->flatten(count)), nullptr);
+  }
+  if (table_) {
+    descriptor_bytes_ = table_->descriptor_bytes();
     return;
   }
   switch (leaf.kind) {
@@ -135,30 +126,26 @@ spin::ExecutionContext SpecializedPlan::context(spin::NicModel& nic) {
   ctx.policy = spin::SchedulingPolicy::Default();
   const spin::CostModel& c = *cost_;
 
-  if (program_ != nullptr) {
-    // Flat-program handler: the compile step already fused adjacent
-    // runs, so every emitted region becomes exactly one DMA write; the
-    // only per-packet lookup is one binary search over the op array to
-    // find the resume point.
+  if (table_) {
+    // Program or region-list handler: one binary search locates the
+    // packet's start, then the table's runs are walked sequentially. A
+    // program's compile step already fused adjacent runs, so every
+    // emitted run becomes exactly one DMA write.
     ctx.payload = [this, &c](spin::HandlerArgs& args) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
       const std::uint64_t first = args.pkt.offset;
-      const std::uint64_t last = first + args.pkt.payload_bytes;
-      const auto steps = static_cast<sim::Time>(std::ceil(std::log2(
-          static_cast<double>(program_->ops().size()) + 1.0)));
-      args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
-      std::uint64_t stream = 0;
-      program_->for_each_region(
-          first, last, [&](std::int64_t host_off, std::uint64_t len) {
-            args.meter.charge(spin::Phase::kProcessing,
-                              c.h_block_specialized + c.h_dma_issue);
-            args.dma.write(args.meter.total(),
-                           args.buffer_offset + host_off,
-                           {args.pkt.data + stream, len});
-            stream += len;
-          });
+      args.meter.charge(spin::Phase::kSetup, table_->resume_charge());
+      table_->walk(first, first + args.pkt.payload_bytes,
+                   [&](std::int64_t host_off, std::uint64_t stream,
+                       std::uint64_t len) {
+                     args.meter.charge(spin::Phase::kProcessing,
+                                       c.h_block_specialized + c.h_dma_issue);
+                     args.dma.write(args.meter.total(),
+                                    args.buffer_offset + host_off,
+                                    {args.pkt.data + (stream - first), len});
+                   });
     };
-  } else if (closed_form_) {
+  } else {
     ctx.payload = [this, &c](spin::HandlerArgs& args) {
       args.meter.charge(spin::Phase::kInit, c.h_init);
       const std::uint64_t first = args.pkt.offset;
@@ -176,38 +163,6 @@ spin::ExecutionContext SpecializedPlan::context(spin::NicModel& nic) {
                                    {args.pkt.data + stream, len});
                     stream += len;
                   });
-    };
-  } else {
-    // Region-list handler: binary-search the packet start, then walk
-    // entries sequentially.
-    ctx.payload = [this, &c](spin::HandlerArgs& args) {
-      args.meter.charge(spin::Phase::kInit, c.h_init);
-      const std::uint64_t first = args.pkt.offset;
-      const std::uint64_t last = first + args.pkt.payload_bytes;
-      const auto steps = static_cast<sim::Time>(std::ceil(
-          std::log2(static_cast<double>(prefix_.size()))));
-      args.meter.charge(spin::Phase::kSetup, steps * sim::ns(8));
-
-      auto it = std::upper_bound(prefix_.begin(), prefix_.end(), first);
-      auto idx =
-          static_cast<std::uint64_t>(std::distance(prefix_.begin(), it)) - 1;
-      std::uint64_t pos = first;
-      std::uint64_t stream = 0;
-      while (pos < last) {
-        const auto& r = regions_[idx];
-        const std::uint64_t rem = pos - prefix_[idx];
-        const std::uint64_t take =
-            std::min<std::uint64_t>(r.size - rem, last - pos);
-        args.meter.charge(spin::Phase::kProcessing,
-                          c.h_block_specialized + c.h_dma_issue);
-        args.dma.write(args.meter.total(),
-                       args.buffer_offset + r.offset +
-                           static_cast<std::int64_t>(rem),
-                       {args.pkt.data + stream, take});
-        pos += take;
-        stream += take;
-        if (pos == prefix_[idx + 1]) ++idx;
-      }
     };
   }
 

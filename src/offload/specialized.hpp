@@ -26,10 +26,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "dataloop/dataloop.hpp"
 #include "dataloop/program.hpp"
 #include "ddt/datatype.hpp"
+#include "offload/region_index.hpp"
 #include "spin/handler.hpp"
 #include "spin/nic.hpp"
 
@@ -48,10 +50,6 @@ class SpecializedPlan {
       const spin::CostModel& cost, bool closed_form_only = true,
       dataloop::PackEngine engine = dataloop::PackEngine::kInterpreter);
 
-  bool closed_form() const { return closed_form_; }
-  /// True when the handler executes the compiled flat program.
-  bool program_mode() const { return program_ != nullptr; }
-
   /// Parameter bytes the host copies to NIC memory: the spin_vec_t-style
   /// descriptor for vector, the displacement (and size) lists for the
   /// indexed flavours.
@@ -61,8 +59,6 @@ class SpecializedPlan {
   /// alive for the NIC's lifetime).
   spin::ExecutionContext context(spin::NicModel& nic);
 
-  const dataloop::CompiledDataloop& loops() const { return *loops_; }
-
  private:
   SpecializedPlan(const ddt::TypePtr& type, std::uint64_t count,
                   const spin::CostModel& cost, dataloop::PackEngine engine);
@@ -70,14 +66,11 @@ class SpecializedPlan {
   // Shared via the process-wide dataloop cache (dataloop/cache.hpp);
   // also reused by create()'s closed-form probe of the same type.
   std::shared_ptr<const dataloop::CompiledDataloop> loops_;
-  // Non-null only in program mode.
-  std::shared_ptr<const dataloop::FlatProgram> program_;
   const spin::CostModel* cost_;
   std::uint64_t descriptor_bytes_ = 0;
-  bool closed_form_ = true;
-  // Region-list mode state (the lists living in NIC memory).
-  std::vector<ddt::Region> regions_;
-  std::vector<std::uint64_t> prefix_;
+  // The NIC-resident program or region list; empty when the handler
+  // runs the closed form.
+  std::optional<ResumeTable> table_;
 };
 
 /// Walk the destination regions of stream window [first, last) of a

@@ -51,7 +51,6 @@ class LinearMatchEngine final : public MatchEngine {
   std::size_t size(ListKind list) const override {
     return (list == ListKind::kPriority ? priority_ : overflow_).size();
   }
-  MatchEngineKind kind() const override { return MatchEngineKind::kLinear; }
 
  private:
   std::list<MatchEntry>& pick(ListKind list) {
@@ -143,7 +142,6 @@ class HashedMatchEngine final : public MatchEngine {
   std::size_t size(ListKind list) const override {
     return sizes_[index(list)];
   }
-  MatchEngineKind kind() const override { return MatchEngineKind::kHashed; }
 
  private:
   struct Bucket;

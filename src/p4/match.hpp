@@ -10,8 +10,8 @@
 // The search itself is behind the MatchEngine interface. Two engines:
 //
 //  - kLinear: the historical std::list scan — O(n) per header packet.
-//    Kept as the reference implementation for differential testing.
-//  - kHashed (default): entries bucket by their masked key
+//    Kept as the reference implementation for tests and benchmarks.
+//  - kHashed (what every NIC runs): entries bucket by their masked key
 //    (match_bits & ~ignore_bits) inside per-ignore-mask classes, so a
 //    lookup probes one hash bucket per distinct ignore mask instead of
 //    walking every posted receive. Append and unlink are O(1) via
@@ -23,9 +23,8 @@
 //
 // Matching is functional in the simulation: which entry wins affects
 // where bytes land, never how long matching takes (the cost model folds
-// the matching unit into the per-packet NIC overhead). Both engines
-// therefore produce byte-identical simulation output by construction;
-// tests/engine_equality.cmake enforces it on the figure suite.
+// the matching unit into the per-packet NIC overhead). A differential
+// test holds both engines in lock-step on real traffic shapes.
 //
 // Per-peer bucketing: Packet stays 40 bytes (no peer field), so tenants
 // that want per-peer isolation encode the peer id in the high bits of
@@ -35,7 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string_view>
+#include <utility>
 
 namespace netddt::p4 {
 
@@ -58,17 +57,6 @@ struct MatchEntry {
 enum class ListKind { kPriority, kOverflow };
 
 enum class MatchEngineKind { kLinear, kHashed };
-
-inline const char* match_engine_name(MatchEngineKind kind) {
-  return kind == MatchEngineKind::kLinear ? "linear" : "hashed";
-}
-
-inline std::optional<MatchEngineKind> parse_match_engine(
-    std::string_view name) {
-  if (name == "linear") return MatchEngineKind::kLinear;
-  if (name == "hashed") return MatchEngineKind::kHashed;
-  return std::nullopt;
-}
 
 /// Result of a header-packet search.
 struct MatchResult {
@@ -94,22 +82,19 @@ class MatchEngine {
   virtual bool unlink(std::uint64_t id) = 0;
 
   virtual std::size_t size(ListKind list) const = 0;
-  virtual MatchEngineKind kind() const = 0;
 };
 
 /// Factory for the concrete engines above.
 std::unique_ptr<MatchEngine> make_match_engine(MatchEngineKind kind);
 
-/// The matching unit as the NIC sees it: assigns handles, delegates the
-/// search to a pluggable engine (hashed by default).
+/// The matching unit as the NIC sees it: assigns handles and delegates
+/// the search to the hashed engine.
 class MatchList {
  public:
-  explicit MatchList(MatchEngineKind kind = MatchEngineKind::kHashed)
-      : kind_(kind), engine_(make_match_engine(kind)) {}
-
-  /// Backwards-compatible alias; the result type now lives at namespace
-  /// scope so engines can return it.
-  using MatchResult = p4::MatchResult;
+  MatchList() : MatchList(make_match_engine(MatchEngineKind::kHashed)) {}
+  /// Test seam: run the list on another engine (the linear reference).
+  explicit MatchList(std::unique_ptr<MatchEngine> engine)
+      : engine_(std::move(engine)) {}
 
   /// Append an entry; returns its handle.
   std::uint64_t append(ListKind list, MatchEntry entry);
@@ -129,10 +114,8 @@ class MatchList {
   std::size_t overflow_size() const {
     return engine_->size(ListKind::kOverflow);
   }
-  MatchEngineKind kind() const { return kind_; }
 
  private:
-  MatchEngineKind kind_;
   std::unique_ptr<MatchEngine> engine_;
   std::uint64_t next_id_ = 1;
 };

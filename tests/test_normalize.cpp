@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "ddt/datatype.hpp"
@@ -120,6 +121,56 @@ TEST(Normalize, MeaningfulResizedKept) {
   auto n = normalize(t);
   EXPECT_EQ(n->kind(), Kind::kResized);
   expect_equivalent(t, n);
+}
+
+// Zero-count layouts, one row per constructor. Under MPI typemap rules a
+// zero-count member, or any number of copies of a type with an empty
+// typemap, contributes no entries and so nothing to lb/ub wherever it is
+// displaced; only explicit bounds (resized markers, subarray's full-array
+// extent) remain. normalize() must keep them: its postcondition is an assert, so
+// it is checked here in every build.
+TEST(Normalize, ZeroCountLayoutsHaveOnlyExplicitBounds) {
+  const TypePtr i32 = Type::int32();
+  const TypePtr empty = Type::contiguous(0, i32);
+  const TypePtr marks = Type::resized(empty, 8, 0);  // lb = ub = 8
+  const std::int64_t one[] = {1}, zeros[] = {0, 0}, displs[] = {16, 48};
+  const std::int64_t sizes[] = {4, 6}, no_sub[] = {0, 3}, starts[] = {1, 2};
+  const TypePtr members[] = {i32, Type::int64()};
+  const auto first = [](const auto& xs) { return std::span(xs).first(1); };
+  const struct {
+    const char* name;
+    TypePtr type;
+    std::int64_t lb = 0, ub = 0;
+  } cases[] = {
+      {"contiguous", empty},
+      {"contiguous of empty", Type::contiguous(4, empty)},
+      {"vector", Type::vector(0, 2, 4, i32)},
+      {"vector, zero blocklen", Type::vector(3, 0, 4, i32)},
+      {"hvector of empty", Type::hvector(3, 2, 64, empty)},
+      {"indexed_block", Type::indexed_block(0, displs, i32)},
+      {"hindexed_block of empty", Type::hindexed_block(1, displs, empty)},
+      {"indexed", Type::indexed(zeros, displs, i32)},
+      // What normalize() makes of the struct row below.
+      {"hindexed of empty", Type::hindexed(one, first(displs), empty)},
+      {"struct",
+       Type::struct_type(first(zeros), first(displs), first(members))},
+      {"struct of empty",
+       Type::struct_type(one, first(displs), std::span(&empty, 1))},
+      {"subarray", Type::subarray(sizes, no_sub, starts, i32), 0, 4 * 6 * 4},
+      {"resized of empty", Type::resized(empty, 8, 16), 8, 24},
+      {"hindexed of markers", Type::hindexed(one, first(displs), marks), 24,
+       24},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.type->size(), 0u);
+    EXPECT_EQ(c.type->lb(), c.lb);
+    EXPECT_EQ(c.type->ub(), c.ub);
+    EXPECT_TRUE(c.type->flatten(3).empty());
+    const TypePtr n = normalize(c.type);
+    EXPECT_EQ(n->lb(), c.lb);
+    EXPECT_EQ(n->ub(), c.ub);
+  }
 }
 
 TEST(Normalize, SubarrayDesugaringSimplifies) {

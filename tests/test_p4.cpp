@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "p4/event.hpp"
@@ -29,13 +30,15 @@ MatchEntry me(std::uint64_t bits, std::uint64_t ignore = 0) {
 // reference scan and the hashed default must be indistinguishable.
 class Matching : public ::testing::TestWithParam<MatchEngineKind> {
  protected:
-  MatchList ml{GetParam()};
+  MatchList ml{make_match_engine(GetParam())};
 };
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, Matching,
     ::testing::Values(MatchEngineKind::kLinear, MatchEngineKind::kHashed),
-    [](const auto& info) { return match_engine_name(info.param); });
+    [](const auto& info) {
+      return info.param == MatchEngineKind::kLinear ? "linear" : "hashed";
+    });
 
 TEST_P(Matching, ExactBitsMatch) {
   ml.append(ListKind::kPriority, me(0xCAFE));
@@ -172,47 +175,139 @@ TEST_P(Matching, AppendWithPresetIdViolatesCheck) {
   EXPECT_THROW(ml.append(ListKind::kPriority, e), sim::check::Violation);
 }
 
-// Differential: a random operation mix must leave both engines in
-// lock-step — same hits (entry identity and list), same misses, same
-// unlink outcomes, same sizes after every step.
-TEST(MatchingDifferential, RandomOpsLinearVsHashed) {
-  MatchList lin(MatchEngineKind::kLinear);
-  MatchList hsh(MatchEngineKind::kHashed);
-  sim::Rng rng(2026);
-  // Small pools of bits/masks so matches, misses, and mask-class
-  // overlaps all happen often.
-  const std::uint64_t bit_pool[] = {0x10, 0x11, 0x20, 0x21, 0xFF00, 0xFF42};
-  const std::uint64_t mask_pool[] = {0, 0, 0x00FF, ~std::uint64_t{0}};
-  std::vector<std::uint64_t> ids;  // parallel handles (same assignment order)
-  for (int step = 0; step < 4000; ++step) {
+// Differential: the linear reference and the hashed engine driven in
+// lock-step must agree on every operation: the same hit (entry identity
+// and list) or miss, the same unlink outcome, the same list sizes.
+struct LockStep {
+  MatchList lin{make_match_engine(MatchEngineKind::kLinear)};
+  MatchList hsh{make_match_engine(MatchEngineKind::kHashed)};
+  bool ok = true;  // cleared at the first divergence
+
+  void agree(bool same, const char* op, std::uint64_t arg) {
+    same = same && lin.priority_size() == hsh.priority_size() &&
+           lin.overflow_size() == hsh.overflow_size();
+    EXPECT_TRUE(same) << op << " " << arg << ": engines diverge";
+    ok = ok && same;
+  }
+  std::uint64_t append(ListKind list, const MatchEntry& e) {
+    const auto id = lin.append(list, e);
+    agree(id == hsh.append(list, e), "append", e.match_bits);
+    return id;
+  }
+  bool match(std::uint64_t bits) {
+    const auto l = lin.match(bits);
+    const auto h = hsh.match(bits);
+    agree(l.has_value() == h.has_value() &&
+              (!l || (l->entry.id == h->entry.id && l->list == h->list)),
+          "match", bits);
+    return l.has_value();
+  }
+  void unlink(std::uint64_t id) {
+    agree(lin.unlink(id) == hsh.unlink(id), "unlink", id);
+  }
+};
+
+// Small pools of bits and masks: matches, misses and mask-class overlaps
+// all happen often.
+void random_mix(LockStep& ls, sim::Rng& rng) {
+  const std::uint64_t bits[] = {0x10, 0x11, 0x20, 0x21, 0xFF00, 0xFF42};
+  const std::uint64_t masks[] = {0, 0, 0x00FF, ~std::uint64_t{0}};
+  std::vector<std::uint64_t> ids;
+  for (int step = 0; step < 4000 && ls.ok; ++step) {
     const double op = rng.uniform();
     if (op < 0.45) {
-      MatchEntry e = me(bit_pool[rng.below(6)],
-                        mask_pool[rng.below(4)]);
+      MatchEntry e = me(bits[rng.below(6)], masks[rng.below(4)]);
       e.use_once = rng.uniform() < 0.7;
-      e.buffer_offset = step;  // identity marker
       const auto list =
           rng.uniform() < 0.8 ? ListKind::kPriority : ListKind::kOverflow;
-      const auto id_l = lin.append(list, e);
-      const auto id_h = hsh.append(list, e);
-      ASSERT_EQ(id_l, id_h);
-      ids.push_back(id_l);
+      ids.push_back(ls.append(list, e));
     } else if (op < 0.9) {
-      const std::uint64_t bits = bit_pool[rng.below(6)];
-      const auto hit_l = lin.match(bits);
-      const auto hit_h = hsh.match(bits);
-      ASSERT_EQ(hit_l.has_value(), hit_h.has_value()) << "step " << step;
-      if (hit_l) {
-        EXPECT_EQ(hit_l->entry.id, hit_h->entry.id) << "step " << step;
-        EXPECT_EQ(hit_l->entry.buffer_offset, hit_h->entry.buffer_offset);
-        EXPECT_EQ(hit_l->list, hit_h->list);
-      }
+      ls.match(bits[rng.below(6)]);
     } else if (!ids.empty()) {
-      const auto id = ids[rng.below(ids.size())];
-      EXPECT_EQ(lin.unlink(id), hsh.unlink(id)) << "step " << step;
+      ls.unlink(ids[rng.below(ids.size())]);
     }
-    ASSERT_EQ(lin.priority_size(), hsh.priority_size()) << "step " << step;
-    ASSERT_EQ(lin.overflow_size(), hsh.overflow_size()) << "step " << step;
+  }
+}
+
+// The service driver (offload/service.cpp): two tenants key messages
+// (t+1)<<40 | seq; 1024 use_once receives stay posted; each arriving
+// header retires one, in any order, and the tenant's next one is posted.
+void service_shape(LockStep& ls, sim::Rng& rng) {
+  std::uint64_t next_seq[2] = {0, 0};
+  std::vector<std::uint64_t> posted;
+  const auto post = [&] {
+    const std::uint64_t t = rng.below(2);
+    posted.push_back(((t + 1) << 40) | next_seq[t]++);
+    ls.append(ListKind::kPriority, me(posted.back()));
+  };
+  while (posted.size() < 1024) post();
+  for (int step = 0; step < 6000 && ls.ok; ++step) {
+    const std::size_t i = rng.below(posted.size());
+    EXPECT_TRUE(ls.match(posted[i]));
+    EXPECT_FALSE(ls.match(posted[i])) << "a retired receive must miss";
+    posted[i] = posted.back();
+    posted.pop_back();
+    post();
+  }
+}
+
+// The fabric collectives (fabric/collectives.cpp): a node posts (r<<32)|s
+// for every round r and each of its P-1 peers s up front; headers arrive
+// in any order across rounds and senders.
+void fabric_shape(LockStep& ls, sim::Rng& rng) {
+  constexpr std::uint64_t kNodes = 16, kRounds = 8, kSelf = 3;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    for (std::uint64_t s = 0; s < kNodes; ++s) {
+      if (s != kSelf) keys.push_back((r << 32) | s);
+    }
+  }
+  for (const std::uint64_t k : keys) ls.append(ListKind::kPriority, me(k));
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.below(i)]);
+  }
+  for (const std::uint64_t k : keys) EXPECT_TRUE(ls.match(k));
+  EXPECT_EQ(ls.lin.priority_size(), 0u);
+}
+
+// bench/match_perf's population: persistent per-peer keys in the
+// priority list and, every 97th entry, a peer wildcard (low 40 bits
+// ignored) in the overflow list. Lookups hit the priority list, fall
+// through to a wildcard, or miss (peer kPeers posts nothing).
+void wildcard_overflow(LockStep& ls, sim::Rng& rng) {
+  constexpr std::uint64_t kPeers = 64, kPosted = 2000;
+  const auto key = [](std::uint64_t peer, std::uint64_t seq) {
+    return ((peer + 1) << 40) | seq;
+  };
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < kPosted; ++i) {
+    const bool wild = i % 97 == 96;
+    MatchEntry e = wild ? me(key(i % kPeers, 0), (1ull << 40) - 1)
+                        : me(key(i % kPeers, i / kPeers));
+    e.use_once = false;
+    ids.push_back(
+        ls.append(wild ? ListKind::kOverflow : ListKind::kPriority, e));
+  }
+  for (int step = 0; step < 6000 && ls.ok; ++step) {
+    if (rng.uniform() < 0.9) {
+      ls.match(key(rng.below(kPeers + 1), rng.below(2 * kPosted / kPeers)));
+    } else {
+      ls.unlink(ids[rng.below(ids.size())]);
+    }
+  }
+}
+
+TEST(MatchingDifferential, RandomOpsLinearVsHashed) {
+  const std::pair<const char*, void (*)(LockStep&, sim::Rng&)> inputs[] = {
+      {"random mix", random_mix},
+      {"service: 1024 posted, retire and repost", service_shape},
+      {"fabric: P-1 receives per round", fabric_shape},
+      {"match_perf: wildcard overflow class", wildcard_overflow}};
+  for (const auto& [name, run] : inputs) {
+    SCOPED_TRACE(name);
+    LockStep ls;
+    sim::Rng rng(2026);
+    run(ls, rng);
   }
 }
 
